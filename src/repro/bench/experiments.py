@@ -20,7 +20,7 @@ from repro.bench.stack import CofsStack, PfsStack
 from repro.bench.testbed import build_flat_testbed, build_hier_testbed
 from repro.core.config import CofsConfig
 from repro.core.placement import HashPlacementPolicy, IdentityPlacementPolicy
-from repro.core.sharding import SubtreeSharding
+from repro.core.shard import SubtreeSharding
 from repro.db.service import DbConfig
 from repro.units import GB, MB
 from repro.workloads.ior import IorConfig, run_ior
@@ -461,6 +461,7 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
     dirs_per_proc = 32 if _full(full) else 16
     results = {}
     ops_done = 0  # measured ops actually driven (quick-bench volume)
+    virtual_ms = 0.0  # summed final clocks of every stack (fingerprint)
 
     # (a) mkdir/rmdir latency, serial vs parallel broadcasts.
     for n_shards in shard_counts:
@@ -476,6 +477,7 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
             for op in ("mkdir", "rmdir"):
                 results[(op, n_shards, mode)] = res.mean_ms(op)
                 ops_done += res.recorder.count(op)
+            virtual_ms += testbed.sim.now
         if n_shards <= 2:
             # ≤1 peer: overlap cannot differ from the serial chain.
             for op in ("mkdir", "rmdir"):
@@ -506,10 +508,11 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
             stack, dataclasses.replace(config, assume_seeded=True))
         results[("skew-stat", n_shards, "after")] = rerun.rate_per_s("stat")
         ops_done += skewed.recorder.count("stat") + rerun.recorder.count("stat")
+        virtual_ms += testbed.sim.now
 
     out = {"shards": tuple(shard_counts), "nodes": nodes,
            "dirs_per_proc": dirs_per_proc, "ops_done": ops_done,
-           "results": results}
+           "virtual_ms": virtual_ms, "results": results}
     if print_report:
         rows = [
             [n_shards, op,
@@ -695,6 +698,7 @@ def run_scaling_failover(full=False, print_report=False):
     # run's tail latencies absorb the gap instead of an untimed seeding
     # phase hiding it.
     results = {}
+    virtual_ms = 0.0  # summed final clocks of both stacks (fingerprint)
     owned_obs = obs.TRACER is None  # enable tracing just for the kill run
     for mode in ("baseline", "failover"):
         testbed = build_flat_testbed(nodes, with_mds=shards * replicas)
@@ -754,9 +758,10 @@ def run_scaling_failover(full=False, print_report=False):
         check_tier_invariants(stack.primaries, stack.sharding)
         if stack.groups:
             check_group_invariants(stack.groups)
+        virtual_ms += sim.now
     out = {"nodes": nodes, "procs_per_node": procs_per_node,
            "files_per_proc": fpp, "shards": shards, "replicas": replicas,
-           "ops": ops, "results": results}
+           "ops": ops, "virtual_ms": virtual_ms, "results": results}
     if print_report:
         rows = [
             [mode, op,

@@ -11,7 +11,7 @@ placement driver hashes the *creating process* into the underlying path
 from repro.core.cofs import CofsFileSystem
 from repro.core.config import CofsConfig
 from repro.core.metaservice import MetadataService
-from repro.core.sharding import (
+from repro.core.shard import (
     GroupTargets,
     HashDirSharding,
     ReplicatedShard,
@@ -49,7 +49,7 @@ class CofsStack:
     ``shards`` selects how many of the testbed's metadata machines host a
     namespace shard (default: all of them).  One shard keeps the original
     single :class:`MetadataService`; more build the sharded tier of
-    :mod:`repro.core.sharding`, partitioned by ``sharding`` (defaults to
+    :mod:`repro.core.shard`, partitioned by ``sharding`` (defaults to
     hash-by-parent-directory).  Clients always talk through a
     :class:`ShardRouter`, which is a pure pass-through at one shard.
 

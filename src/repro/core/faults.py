@@ -171,7 +171,7 @@ def check_group_invariants(groups):
     """Assert every in-sync member of every group holds identical data.
 
     Compares the replicated data tables (inodes, dentries, buckets,
-    intents, overrides) between each group's primary and its in-sync
+    intents, routes) between each group's primary and its in-sync
     backups.  ``epochs`` is excluded — fence installs reach members both
     directly (promotion fences its fellow members) and via shipping, so
     row-for-row equality is not an invariant there (the stamp checks
@@ -184,7 +184,7 @@ def check_group_invariants(groups):
             name: {row[primary.db.table(name).key]: dict(row)
                    for row in primary.db.table(name).all()}
             for name in ("inodes", "dentries", "buckets",
-                         "intents", "overrides", "partitions")
+                         "intents", "routes")
         }
         head = group.lsn
         for backup in group.live_backups():
@@ -299,7 +299,9 @@ def namespace_image(shards, sharding):
 
 
 def _reachable_file_refs(shards, sharding):
-    """Tier-wide reference count per FILE vino, walking as the router does."""
+    """Reference count per ``(holding shard, FILE vino)``, walking as the
+    router does — a copy of an inode on a shard routing never reaches
+    counts as unreferenced, however many names reach its twin."""
     n = len(shards)
     refs = {}
     by_parent = [_dentries_by_parent(shard) for shard in shards]
@@ -312,12 +314,13 @@ def _reachable_file_refs(shards, sharding):
         dir_path, dvino = frontier.pop()
         for owner, dentry in _authoritative_entries(
                 by_parent, sharding, n, dir_path, dvino):
-            home = dentry.get("home")
-            row = inodes[owner if home is None else home].get(dentry["vino"])
+            holder = owner if dentry.get("home") is None else dentry["home"]
+            row = inodes[holder].get(dentry["vino"])
             if row is None:
                 continue
             if row["kind"] == FILE:
-                refs[row["vino"]] = refs.get(row["vino"], 0) + 1
+                key = (holder, row["vino"])
+                refs[key] = refs.get(key, 0) + 1
             elif row["kind"] == DIRECTORY:
                 frontier.append((f"{dir_path}/{dentry['name']}", row["vino"]))
     return refs
@@ -388,45 +391,24 @@ def check_tier_invariants(shards, sharding, images=()):
             f"shard {shard.shard_id} holds unresolved intents: {leftover}"
         )
 
-    # 2b. Re-partitioning overrides: identical durable tables on every
-    #     shard, and the shared in-memory map (what routing consults)
-    #     reflects exactly the durable rows.
-    override_tables = [
-        {row["path"]: (row["shard"], row["seq"])
-         for row in shard.db.table("overrides").all()}
+    # 2b. The routing map: identical durable tables on every shard, and
+    #     the shared in-memory map (what routing consults) reflects
+    #     exactly the durable rows.
+    route_tables = [
+        {row["path"]: (row["owner"], tuple(row["shards"]), row["seq"])
+         for row in shard.db.table("routes").all()}
         for shard in shards
     ]
     for shard_id in range(1, n):
-        assert override_tables[shard_id] == override_tables[0], (
-            f"override table diverges on shard {shard_id}: "
-            f"{_dict_diff(override_tables[0], override_tables[shard_id])}"
+        assert route_tables[shard_id] == route_tables[0], (
+            f"routes table diverges on shard {shard_id}: "
+            f"{_dict_diff(route_tables[0], route_tables[shard_id])}"
         )
-    in_memory = dict(getattr(sharding, "overrides", {}))
-    durable = {path: rec[0] for path, rec in override_tables[0].items()}
+    in_memory = dict(getattr(sharding, "routes", {}))
+    durable = {path: rec[:2] for path, rec in route_tables[0].items()}
     assert in_memory == durable, (
-        f"in-memory override map diverges from durable rows: "
+        f"in-memory routing map diverges from durable rows: "
         f"{_dict_diff(durable, in_memory)}"
-    )
-
-    # 2c. Intra-directory partitions: identical durable tables on every
-    #     shard, and the shared in-memory fan-out map (what per-entry
-    #     routing consults) reflects exactly the durable rows.
-    partition_tables = [
-        {row["path"]: (tuple(row["shards"]), row["seq"])
-         for row in shard.db.table("partitions").all()}
-        for shard in shards
-    ]
-    for shard_id in range(1, n):
-        assert partition_tables[shard_id] == partition_tables[0], (
-            f"partitions table diverges on shard {shard_id}: "
-            f"{_dict_diff(partition_tables[0], partition_tables[shard_id])}"
-        )
-    mem_parts = dict(getattr(sharding, "partitions", {}))
-    durable_parts = {
-        path: rec[0] for path, rec in partition_tables[0].items()}
-    assert mem_parts == durable_parts, (
-        f"in-memory partition map diverges from durable rows: "
-        f"{_dict_diff(durable_parts, mem_parts)}"
     )
 
     # 3. Dentry/inode structural consistency per shard + stub homes.
@@ -469,12 +451,13 @@ def check_tier_invariants(shards, sharding, images=()):
         by_parent = _dentries_by_parent(shard)
         for row in inodes[shard_id].values():
             if row["kind"] == FILE:
-                assert refs.get(row["vino"], 0) >= 1, (
+                count = refs.get((shard_id, row["vino"]), 0)
+                assert count >= 1, (
                     f"stranded file inode {row['vino']} on shard {shard_id}"
                 )
-                assert row["nlink"] == refs[row["vino"]], (
+                assert row["nlink"] == count, (
                     f"file {row['vino']} nlink={row['nlink']} but "
-                    f"{refs[row['vino']]} reachable names"
+                    f"{count} reachable names"
                 )
             elif row["kind"] == DIRECTORY:
                 subdirs = 0

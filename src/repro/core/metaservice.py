@@ -59,13 +59,11 @@ class MetadataService:
         database.create_table("dentries", key="key", indexes=("parent",))
         database.create_table("buckets", key="path")
         # Cross-shard coordination records (intent/prepare/dedup), the
-        # re-partitioning override map, the intra-directory partition map,
-        # and the recovery epoch/fence rows; always present in the schema
-        # so recovery rebuilds are uniform, but only the sharded service
-        # ever writes to them.
+        # routing map, and the recovery epoch/fence rows; always present
+        # in the schema so recovery rebuilds are uniform, but only the
+        # sharded service ever writes to them.
         database.create_table("intents", key="id")
-        database.create_table("overrides", key="path")
-        database.create_table("partitions", key="path")
+        database.create_table("routes", key="path")
         database.create_table("epochs", key="shard")
         # Replication bookkeeping (the backup's durable applied-LSN
         # pointer); only group *backups* ever write to it — see

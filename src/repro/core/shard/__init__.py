@@ -5,12 +5,12 @@ grow, it becomes the next bottleneck after the one it removed.  This
 package partitions the virtual namespace across N
 :class:`~repro.core.metaservice.MetadataService` shards, following the
 HopsFS school of hierarchical-metadata partitioning, as layered
-subsystems (one module per concern — the old single-module layout maps
-onto them as noted in :mod:`repro.core.sharding`):
+subsystems (one module per concern):
 
 - :mod:`repro.core.shard.routing` — the partition function
   (:class:`ShardingPolicy`: hash-by-parent-directory or static subtrees,
-  plus the re-homing override map), the client-side :class:`ShardRouter`
+  plus the routing map — one ``path → (owner, shards)`` row per
+  re-homed, split or merged directory), the client-side :class:`ShardRouter`
   with its load counters, and the forward machinery
   (:class:`ResolveForward` / :class:`VinoForward`) with the service-side
   resolution hooks and read handlers.
@@ -27,13 +27,13 @@ onto them as noted in :mod:`repro.core.sharding`):
   intent/prepare/dedup records, cross-shard rename and hard link, and the
   crash-safe copy → import → purge population migration.
 - :mod:`repro.core.shard.rebalance` — online load-aware re-partitioning:
-  the re-homing protocol, override durability, and the
-  :class:`Rebalancer` that samples router load and migrates hot
-  directories.
+  one journaled ``route`` protocol behind re-home, split, merge and
+  forget, routing-map durability, and the :class:`Rebalancer` that
+  samples router load and migrates hot directories.
 - :mod:`repro.core.shard.recovery` — recovery of one shard or the whole
   tier: epoch bump + tier fence (recovery is safe against a *live* tier:
   stale coordinators are refused via :class:`EpochFenced`, live intents
-  are spared), fenced intent completion, override restore, skeleton
+  are spared), fenced intent completion, routing-map restore, skeleton
   resync, placement reconciliation, allocator reseating
   (:func:`recover_tier`).
 - :mod:`repro.core.shard.service` — :class:`ShardMetadataService`, the

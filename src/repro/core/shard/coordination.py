@@ -1,9 +1,6 @@
 """Coordination: intent/prepare/dedup records and cross-shard protocols.
 
-The 2-phase prepare/commit layer of the sharded tier (formerly the
-*coordination records*, *rename: local, replicated, and cross-shard*,
-*link* and *vino-addressed mutation* sections of the old
-``repro/core/sharding.py`` monolith):
+The 2-phase prepare/commit layer of the sharded tier:
 
 - **Records** (table ``intents``): coordinator *intents* journaled
   atomically with the first local change, participant *prepare* records
@@ -567,39 +564,39 @@ class ShardCoordinationPart:
             txn.write("inodes", moved)
         return result
 
-    def _alias_partitions(self, old, new):
-        """Mirror every partition key under ``old`` to ``new`` in the
-        shared in-memory fan-out map (pure python — no simulated
+    def _alias_routes(self, old, new):
+        """Mirror every routing key under ``old`` to ``new`` in the
+        shared in-memory routing map (pure python — no simulated
         events), so entry routing by the staged name works tier-wide the
         instant any replica serves it.  Returns the ``(old, new)`` key
         pairs for the flip intent, so an abort — inline or recovery's —
         can unalias exactly what was aliased."""
-        parts = self.sharding.partitions
+        routes = self.sharding.routes
         pairs = []
-        for path in list(parts):
+        for path in list(routes):
             if path == old or path.startswith(old + "/"):
                 dest = new + path[len(old):]
-                if dest not in parts:
-                    parts[dest] = parts[path]
+                if dest not in routes:
+                    routes[dest] = routes[path]
                     pairs.append([path, dest])
         return pairs
 
-    def _unalias_partitions(self, pairs):
-        """Drop staged partition-routing aliases (abort path).  Guarded
-        on the old key still being canonical: after a committed flip the
-        re-key moved it, and a late abort must not blind routing."""
-        parts = self.sharding.partitions
+    def _unalias_routes(self, pairs):
+        """Drop staged routing aliases (abort path).  Guarded on the old
+        key still being canonical: after a committed flip the re-key
+        moved it, and a late abort must not blind routing."""
+        routes = self.sharding.routes
         for old_key, new_key in pairs or ():
-            fanout = parts.get(old_key)
-            if fanout is not None and parts.get(new_key) == fanout:
-                parts.pop(new_key, None)
+            route = routes.get(old_key)
+            if route is not None and routes.get(new_key) == route:
+                routes.pop(new_key, None)
 
     def _abort_flip(self, flip_tid, new, seq, vino, parts, stamp):
         """Coroutine: unwind phase 1 of a skeleton flip.
 
         Remote aliases die first (seq-guarded unstage broadcast), then
         the local alias and the flip intent in one transaction, then the
-        in-memory partition aliases — so no instant leaves a replica
+        in-memory routing aliases — so no instant leaves a replica
         serving a new name the tier can no longer route.  Shared with
         recovery's :meth:`redo_flip`.
         """
@@ -615,7 +612,7 @@ class ShardCoordinationPart:
                 return True
 
             yield from self.dbsvc.execute(self._local_body(body))
-            self._unalias_partitions(parts)
+            self._unalias_routes(parts)
         except (EpochFenced, MemberDown):
             pass  # the surviving flip intent hands cleanup to recovery
         finally:
@@ -701,13 +698,13 @@ class ShardCoordinationPart:
                 vino, old, new, epoch, stamp)
 
         # -- phase 1: stage -------------------------------------------------
-        # Alias a split subtree's partition keys in the shared routing
-        # map first (pure python), then journal the flip intent
+        # Alias a routed subtree's keys in the shared routing map
+        # first (pure python), then journal the flip intent
         # atomically with this shard's alias dentry, then broadcast the
         # alias.  From here to the commit both names resolve everywhere
         # a stage landed; a refused stage (a newer flip's rseq won, or
         # the destination is taken) just keeps that replica old-only.
-        parts = self._alias_partitions(norm_old, norm_new) \
+        parts = self._alias_routes(norm_old, norm_new) \
             if kind == DIRECTORY else []
         flip_tid = self._new_tid()
 
@@ -739,7 +736,7 @@ class ShardCoordinationPart:
             # Only the (atomically aborted) stage transaction forwards:
             # nothing was staged anywhere yet.
             self._done_tids([flip_tid])
-            self._unalias_partitions(parts)
+            self._unalias_routes(parts)
             yield from self._abort_stage(stage_plans, stage_tid, stamp)
             if fwd.final:
                 yield from self._probe_dst_parent(fwd, _hops)
@@ -747,12 +744,12 @@ class ShardCoordinationPart:
             return retried
         except EpochFenced:
             # Zombie coordinator: a journaled flip intent hands the
-            # unstage (and the partition unalias recorded in it) to
+            # unstage (and the routing unalias recorded in it) to
             # recovery; a self-fenced stage transaction journaled
             # nothing, so unwind the pure-memory aliases here.
             self._done_tids([flip_tid])
             if not staged:
-                self._unalias_partitions(parts)
+                self._unalias_routes(parts)
             if stage_tid is not None:
                 self._done_tids([stage_tid])
             raise
@@ -762,7 +759,7 @@ class ShardCoordinationPart:
                     flip_tid, new, seq, vino, parts, stamp)
             else:
                 self._done_tids([flip_tid])
-                self._unalias_partitions(parts)
+                self._unalias_routes(parts)
             yield from self._abort_stage(stage_plans, stage_tid, stamp)
             raise
         except BaseException:
@@ -792,16 +789,18 @@ class ShardCoordinationPart:
             if stage_tid is not None:
                 txn.delete("intents", stage_tid)
             if kind == DIRECTORY:
-                # A split directory under ``old`` keeps its entries in
-                # place (placement hashes only names); re-key its rows
-                # durably with the rename.  The in-memory map follows in
-                # the tail, after the commit — a self-fenced body rolls
-                # the durable rekey back, and a mem rekey applied here
-                # would survive that abort and diverge the shared map.
-                # The gap is covered: the phase-1 alias keeps both names
-                # routable until the tail runs.
-                rekeyed[:] = self._txn_rekey_partitions(
-                    txn, norm_old, norm_new)
+                # A routed directory under ``old`` keeps its entries in
+                # place (a split places by name hash, a re-home keeps
+                # its home); re-key its rows durably with the rename,
+                # and drop the row of the empty directory it replaces.
+                # The in-memory map follows in the tail, after the
+                # commit — a self-fenced body rolls the durable rekey
+                # back, and a mem rekey applied here would survive that
+                # abort and diverge the shared map.  The gap is covered:
+                # the phase-1 alias keeps both names routable until the
+                # tail runs.
+                rekeyed[:] = self._txn_rekey_routes(
+                    txn, norm_old, norm_new, now)
             tids.append(self._txn_intent(txn, epoch, {
                 "id": self._new_tid(), "role": "coord",
                 "op": "rename_replicated", "kind": kind, "vino": vino,
@@ -839,7 +838,7 @@ class ShardCoordinationPart:
                 # Pure python, before any yield: the shared routing map
                 # catches up with the committed durable rekey (recovery
                 # rebuilds it from the rows if a crash lands first).
-                self._rekey_partitions_mem(rekeyed)
+                self._rekey_routes_mem(rekeyed)
                 del rekeyed[:]
             tid = tids[-1]
             drained = yield from self._drain_pending(pending, now, tid, stamp)
@@ -885,11 +884,11 @@ class ShardCoordinationPart:
                 txn, normalize(old), new, now, seq, vino, pending)
             if result is None:
                 return (None, False)
-            # This replica's partition rows re-key with its replay (the
+            # This replica's routing rows re-key with its replay (the
             # coordinator re-keyed its own atomically with the rename);
-            # a no-op for symlink renames and unsplit subtrees.
-            self._rekey_partitions_mem(self._txn_rekey_partitions(
-                txn, normalize(old), normalize(new)))
+            # a no-op for symlink renames and unrouted subtrees.
+            self._rekey_routes_mem(self._txn_rekey_routes(
+                txn, normalize(old), normalize(new), now))
             if pending:
                 tids.append(self._txn_intent(txn, epoch, {
                     "id": self._new_tid(), "role": "coord",
@@ -938,13 +937,15 @@ class ShardCoordinationPart:
         """Coroutine: pre-copy re-homed subtree populations to their
         post-rename owners, under a durable ``stage`` intent.
 
-        Split directories are skipped (their entries are placed by name
-        hash, which a rename never changes), as are directories whose
-        owner is unchanged.  The copies are invisible until the rename
-        commits — routing still names the sources — and the stage intent
-        (journaled before any copy ships, deleted atomically by the
-        rename transaction) guarantees a crash or abort leaves
-        :meth:`redo_stage` enough to purge them.  Returns
+        Routed directories are skipped (their routing rows re-key with
+        the rename, so their entries stay put), as are directories whose
+        owner is unchanged.  Every other directory arrives unrouted (the
+        rename drops the row of the empty directory it replaces), so its
+        post-rename owner is the static one.  The copies are invisible
+        until the rename commits — routing still names the sources — and
+        the stage intent (journaled before any copy ships, deleted
+        atomically by the rename transaction) guarantees a crash or
+        abort leaves :meth:`redo_stage` enough to purge them.  Returns
         ``(plans, stage_tid)``.
         """
         norm_old, norm_new = normalize(old), normalize(new)
@@ -955,10 +956,10 @@ class ShardCoordinationPart:
         dirs = yield from self.dbsvc.execute(self._local_body(collect))
         plans = []
         for old_path, new_path, dvino in dirs:
-            if normalize(old_path) in self.sharding.partitions:
+            if normalize(old_path) in self.sharding.routes:
                 continue
             src = self._dir_owner(old_path)
-            dst = self._dir_owner(new_path)
+            dst = self.sharding.static_shard_of_dir(new_path, self.n_shards)
             if src != dst:
                 plans.append((dvino, src, dst))
         if not plans:
@@ -1042,8 +1043,9 @@ class ShardCoordinationPart:
         readdir dedups by name), and re-running the migration
         (recovery's intent roll-forward does) converges — import skips
         keys it already holds, purge deletes only what the copy listed.
-        Split directories are skipped: their rows were re-keyed by the
-        rename and their entries never move.
+        Routed directories are skipped: their rows were re-keyed by the
+        rename and their entries never move (the replaced directory's
+        row is gone, so every row under ``new`` is a re-keyed one).
         """
 
         def collect(txn):
@@ -1051,7 +1053,7 @@ class ShardCoordinationPart:
 
         dirs = yield from self.dbsvc.execute(collect)
         for old_path, new_path, dvino in dirs:
-            if normalize(new_path) in self.sharding.partitions:
+            if normalize(new_path) in self.sharding.routes:
                 continue
             src = self._dir_owner(old_path)
             dst = self._dir_owner(new_path)

@@ -4,49 +4,60 @@ Both partition functions are static — hash-by-parent spreads directories
 uniformly but cannot react when several hot directories collide on one
 shard, and static subtrees concentrate whole projects by design.  This
 module closes the ROADMAP "dynamic re-partitioning" item, HopsFS-style:
-hot directories are *re-homed* under load, with ownership recorded in an
-override map the partition function consults before its static rule
-(:meth:`repro.core.shard.routing.ShardingPolicy.shard_of_dir`) — and,
-GIGA+-style, a directory too hot for *any* single shard is *split*: its
-entries are hash-partitioned across shards by name (a ``partitions`` row
-riding the same durability machinery), so one giant directory's
+hot directories are *re-homed* under load — and, GIGA+-style, a
+directory too hot for *any* single shard is *split*: its entries are
+hash-partitioned across shards by name, so one giant directory's
 create/stat load scales with the tier instead of pinning one shard at
 its ceiling.
 
-**Protocol** (:meth:`ShardRebalancePart.rebalance_dir` /
-:meth:`split_dir`, run on the directory's owner): one transaction
-journals the coordinator intent; the population then moves with the
-crash-safe copy → import → purge triple that subtree migration uses
-(:mod:`repro.core.shard.coordination`) — but the routing flip is *last*,
-not first, and it is **verified**: the flip transaction re-scans the
-local directory and commits the durable routing row (plus the shared
-in-memory map, inside the same atomic body) only when every entry
-assigned away has already been imported at its destination; otherwise it
-returns the stragglers for another copy→import round
-(:meth:`_verified_flip`).  Paired with the ownership re-check every
-mutating parent walk performs inside its own transaction
+**One routing map.** Every routing change writes one row ``{path,
+owner, shards, seq}`` of the map the partition function consults before
+its static rule
+(:attr:`repro.core.shard.routing.ShardingPolicy.routes`): a re-home
+writes ``(dst, [dst])``, a split ``(owner, targets)``, a merge
+``(owner, [owner])`` and a forget ``(static owner, [static owner])``.
+rmdir drops the row; a rename re-keys it, and drops the row of the
+empty directory it replaces (:mod:`repro.core.shard.coordination`).
+
+**Protocol** (:meth:`ShardRebalancePart._route`, behind
+:meth:`~ShardRebalancePart.rebalance_dir`, :meth:`split_dir`,
+:meth:`merge_dir` and :meth:`forget_override`, run on the directory's
+owner): one transaction journals a ``route`` intent holding the new row
+and the pre-flip *sources* (the shards that may hold entries now); the
+population then moves with the crash-safe copy → import → purge triple
+that subtree migration uses (:mod:`repro.core.shard.coordination`) — but
+the routing flip is *last*, not first, and it is **verified**: the flip
+transaction re-scans the local directory and commits the durable routing
+row (plus the shared in-memory map, inside the same atomic body) only
+when every entry assigned away has already been imported at its
+destination; otherwise it returns the stragglers for another
+copy→import round (:meth:`_verified_flip`).  Paired with the ownership
+re-check every mutating parent walk performs inside its own transaction
 (:meth:`repro.core.shard.routing.ShardRoutingPart._txn_resolve_parent`),
 this closes the migration visibility window: a reader routed by the old
 map finds the entry still on the source (purge runs only after the
 flip), a reader routed by the new map finds it imported, and a write
 that races the flip is forwarded to the new owner instead of stranding a
 row routing no longer reaches.  Every step is idempotent, so recovery
-rolls a half-done migration *forward* by redoing the intent
-(:meth:`redo_rebalance` / :meth:`redo_split`); a crash before the intent
-committed leaves no durable trace and routing is unchanged.
+rolls a half-done routing change *forward* by redoing the intent
+(:meth:`redo_route`); a crash before the intent committed leaves no
+durable trace and routing is unchanged.
 
-**Durability**: every shard persists the override map in its
-``overrides`` table and the partition map in ``partitions``; the shared
-in-memory maps on the
+**Durability**: every shard persists the map in its ``routes`` table;
+the shared in-memory map on the
 :class:`~repro.core.shard.routing.ShardingPolicy` (what routers and
 resolution hooks actually consult, at zero simulated cost — the
-partition function has always been free to evaluate) are rebuilt from
-the durable rows on recovery (:meth:`restore_overrides` /
-:meth:`restore_partitions`, newest ``seq`` wins), so a shard restored
-from an older journal prefix converges with its peers.  A *merge* keeps
-a one-element ``partitions`` row rather than deleting it: a dropped row
-could resurrect from a stale recovering peer through the restore union,
-while a newer one-element row wins everywhere.
+partition function has always been free to evaluate) is rebuilt from
+the durable rows on recovery (:meth:`restore_routes`, newest ``seq``
+wins), so a shard restored from an older journal prefix converges with
+its peers.  A merge or a forget *keeps* a one-element row rather than
+deleting it: a dropped row could resurrect from a stale recovering peer
+through the restore union, while a newer one-element row wins
+everywhere.  Only a directory's removal deletes its row — tier-wide,
+with the directory (see
+:meth:`~repro.core.shard.replication.ShardReplicationPart.mirror_rmdir`
+and :meth:`_txn_rekey_routes`) — so a recreated directory routes by the
+static rule again.
 
 **Known simplifications**: re-splitting an already-split directory (and
 merging one) stages from *multiple* source shards, and only the
@@ -57,11 +68,9 @@ one copy→import round later it is servable; never lost).  A ``setattr``
 that lands on the source between copy and purge is lost with the purged
 copy (leaf attribute walks carry no ownership re-check).  Both windows
 exist only for entries mutated *during* a migration; anything that
-existed when the migration began is continuously visible.  The former
-"override outlives its directory" stickiness is closed: ``rmdir``
-drops override and partition rows tier-wide with the directory (see
-:meth:`~repro.core.shard.replication.ShardReplicationPart.mirror_rmdir`)
-and :meth:`forget_override` retires an override for a live directory.
+existed when the migration began is continuously visible.  A split
+directory can be neither re-homed nor forgotten (EINVAL): its entries
+have no single source to move, so it is merged first.
 
 **Policy** (:class:`Rebalancer`): the client-side routers already
 compute the (directory → shard) decision for every op and keep
@@ -84,22 +93,20 @@ from repro.pfs.types import DIRECTORY, normalize
 
 
 class ShardRebalancePart:
-    """Mixin: re-homing/split protocols and routing-map durability RPCs."""
+    """Mixin: the routing-change protocol and routing-map durability RPCs."""
 
     def rebalance_dir(self, dir_path, dst, now):
         """Coroutine/RPC: re-home ``dir_path``'s file population to ``dst``.
 
         Must run on the directory's *current* owner (the shard that holds
-        its file entries).  Journals the intent, stages the population at
-        ``dst``, then commits the override row in the verified flip
-        transaction and purges the source copies.
+        its file entries); routes the directory to ``(dst, [dst])``.
         """
         yield from self._dispatch()
         epoch = self.epoch
         dir_path = normalize(dir_path)
         if not 0 <= dst < self.n_shards:
             raise FsError.einval(f"no such shard: {dst}")
-        if dir_path in self.sharding.partitions:
+        if self.sharding.is_split(dir_path):
             raise FsError.einval(
                 f"{dir_path} is split: re-split or merge it instead")
         if self._dir_owner(dir_path) != self.shard_id:
@@ -107,60 +114,151 @@ class ShardRebalancePart:
                 f"shard {self.shard_id} does not own {dir_path}")
         if dst == self.shard_id:
             return False
+        result = yield from self._route(dir_path, dst, [dst], now, epoch)
+        return result
+
+    def split_dir(self, dir_path, targets, now, _hops=0):
+        """Coroutine/RPC: hash-partition ``dir_path``'s entries across
+        ``targets``.
+
+        Runs on the directory's owner (self-forwarding), which stays the
+        whole-directory owner.  Each entry's post-split home is
+        ``targets[entry_slot(name, len(targets))]``; a one-element target
+        list *merges* a split directory back to a single shard.
+        """
+        self._check_hops(_hops, dir_path)
+        yield from self._dispatch()
+        epoch = self.epoch
+        norm = normalize(dir_path)
+        targets = [int(t) for t in targets]
+        if not targets or any(
+                not 0 <= t < self.n_shards for t in targets):
+            raise FsError.einval(f"bad partition targets: {targets}")
+        owner = self._dir_owner(norm)
+        if owner != self.shard_id:
+            result = yield from self._peer(
+                owner, "split_dir", norm, targets, now, _hops + 1)
+            return result
+        route = self.sharding.routes.get(norm)
+        if route is not None and route[1] == tuple(targets):
+            return False
+        result = yield from self._route(norm, owner, targets, now, epoch)
+        return result
+
+    def merge_dir(self, dir_path, now, _hops=0):
+        """Coroutine/RPC: collapse a split directory back to its owner.
+
+        A split to a single target: every entry re-routes to the
+        directory's whole-directory owner.
+        """
+        norm = normalize(dir_path)
+        if norm not in self.sharding.routes:
+            return False
+        owner = self.sharding.shard_of_dir(norm, self.n_shards)
+        result = yield from self.split_dir(norm, [owner], now, _hops)
+        return result
+
+    def forget_override(self, dir_path, now, _hops=0):
+        """Coroutine/RPC: send a re-homed ``dir_path`` back to its static
+        owner.
+
+        The administrative complement of :meth:`rebalance_dir`: a
+        re-home to the static owner, run on the directory's current
+        owner (self-forwarding).  False when the routing already names
+        the static owner; EINVAL for a split directory, whose entries
+        have no single source to move.
+        """
+        self._check_hops(_hops, dir_path)
+        norm = normalize(dir_path)
+        route = self.sharding.routes.get(norm)
+        static = self.sharding.static_shard_of_dir(norm, self.n_shards)
+        if route is None or route[0] == static:
+            return False
+        if route[0] != self.shard_id:
+            result = yield from self._peer(
+                route[0], "forget_override", norm, now, _hops + 1)
+            return result
+        result = yield from self.rebalance_dir(norm, static, now)
+        return result
+
+    def _route(self, norm, owner, shards, seq, epoch):
+        """Coroutine: journal a ``route`` intent, then run its tail.
+
+        The intent commits before any state moves: every later step is
+        idempotent, so a crash anywhere is rolled *forward* by
+        :meth:`redo_route`.  It records the pre-flip ``sources`` (the
+        shards that may hold entries now): a redo after the flip would
+        otherwise consult the new map and miss them.
+        """
+        sources = list(self.sharding.entry_shards(norm, self.n_shards))
         tids = []
 
         def body(txn):
-            row = self._txn_resolve(txn, dir_path)
+            row = self._txn_resolve(txn, norm)
             if row["kind"] != DIRECTORY:
-                raise FsError.enotdir(dir_path)
+                raise FsError.enotdir(norm)
             tids.append(self._txn_intent(txn, epoch, {
-                "id": self._new_tid(), "role": "coord", "op": "rebalance",
-                "dir": dir_path, "vino": row["vino"], "dst": dst,
-                "now": now,
+                "id": self._new_tid(), "role": "coord", "op": "route",
+                "dir": norm, "vino": row["vino"], "owner": owner,
+                "shards": list(shards), "sources": sources, "seq": seq,
             }))
             return row["vino"]
 
         # The walk stays on the local skeleton replica: the owner holds
         # everything it needs, and a forward here would misroute the
-        # intent.  A crash before the intent commits leaves no trace —
-        # no entry has moved and routing is unchanged.
+        # intent.
         try:
             vino = yield from self.dbsvc.execute(self._local_body(body))
         except BaseException:
             self._done_tids(tids)
             raise
         try:
-            yield from self._finish_rebalance(
-                dir_path, vino, dst, now, self._stamp(epoch))
+            yield from self._finish_route(
+                norm, vino, owner, shards, sources, seq, self._stamp(epoch))
             yield from self.intent_forget(tids[0])
         except EpochFenced:
-            pass  # the intent is durable; recovery redoes the rest
+            pass  # the intent is durable; recovery rolls it forward
         finally:
             self._done_tids(tids)
         return True
 
-    def _finish_rebalance(self, dir_path, vino, dst, seq, stamp):
-        """Coroutine: the idempotent tail of a re-homing (shared with redo).
+    def _finish_route(self, norm, vino, owner, shards, sources, seq, stamp):
+        """Coroutine: the idempotent tail of a routing change (shared
+        with redo).
 
-        Stage → verified flip (override row + in-memory map, atomic with
-        the proof that ``dst`` holds every entry) → broadcast → purge.
-        The flip obeys the same newest-``seq``-wins discipline as
-        :meth:`mirror_override`, so a redo replaying late cannot clobber
-        a later re-homing.
+        Stage every remote source's assigned-away entries → verified
+        flip at the coordinator (routing row + in-memory map, atomic
+        with the proof that *this* shard's stragglers are shipped) →
+        ``mirror_route`` broadcast → catch-up-and-purge round per remote
+        source → purge local copies.  For the common single-source
+        change the flip's verification is complete and the visibility
+        window is exactly zero; with remote sources the post-flip
+        catch-up bounds it to entries created there mid-staging (see
+        the module notes).  The flip is newest-``seq``-wins like
+        :meth:`mirror_route`, so a redo replaying late cannot clobber a
+        later routing change.
         """
+        fanout = tuple(shards)
+
+        def dest_of(name):
+            return fanout[entry_slot(name, len(fanout))] % self.n_shards
+
+        for src in sources:
+            if src != self.shard_id:
+                yield from self._stage_partition(src, vino, dest_of, stamp)
 
         def flip(txn):
-            row = txn.read("overrides", dir_path)
-            if row is not None and row["seq"] > seq:
-                return
-            txn.write("overrides",
-                      {"path": dir_path, "shard": dst, "seq": seq})
-            self.sharding.overrides[dir_path] = dst
+            if self._txn_write_route(txn, norm, owner, fanout, seq):
+                self.sharding.routes[norm] = (owner, fanout)
 
         keys, vinos = yield from self._verified_flip(
-            vino, lambda name: dst, flip, stamp)
+            vino, dest_of, flip, stamp)
         yield from self._broadcast(
-            "mirror_override", dir_path, dst, seq, stamp=stamp)
+            "mirror_route", norm, owner, list(fanout), seq, stamp=stamp)
+        for src in sources:
+            if src != self.shard_id:
+                yield from self._stage_partition(
+                    src, vino, dest_of, stamp, purge=True)
         if keys:
             yield from self._call_shard(
                 self.shard_id, "purge_dir_children", vino, keys, vinos,
@@ -217,162 +315,11 @@ class ShardRebalancePart:
                     all_keys.append(dentry["key"])
                 all_vinos.extend(row["vino"] for row in inodes)
 
-    def redo_rebalance(self, rec):
-        """Coroutine: roll a surviving ``rebalance`` intent forward.
-
-        Every step of the finish is idempotent (imports skip present
-        keys, the flip is newest-wins, purge deletes only what is still
-        here), so re-running it under the recovering coordinator's fresh
-        epoch converges from any crash point.
-        """
-        yield from self._finish_rebalance(
-            rec["dir"], rec["vino"], rec["dst"], rec["now"], self._stamp())
-        yield from self.intent_forget(rec["id"])
-        return True
-
-    def mirror_override(self, dir_path, shard, seq, stamp=None):
-        """RPC (shard-to-shard): persist a re-homing override here.
-
-        A row with a newer ``seq`` wins (two successive re-homings of one
-        directory replay in either order during recovery).
-        """
-        yield from self._dispatch()
-
-        def body(txn):
-            self._check_stamp(stamp)
-            row = txn.read("overrides", dir_path)
-            if row is not None and row["seq"] > seq:
-                return False
-            txn.write("overrides",
-                      {"path": dir_path, "shard": shard, "seq": seq})
-            return True
-
-        result = yield from self.dbsvc.execute(body)
-        if result:
-            self.sharding.overrides[dir_path] = shard
-        return result
-
-    # -- splitting a hot directory (GIGA+-style) ----------------------------
-
-    def split_dir(self, dir_path, targets, now, _hops=0):
-        """Coroutine/RPC: hash-partition ``dir_path``'s entries across
-        ``targets``.
-
-        Runs on the directory's owner (self-forwarding).  Each entry's
-        post-split home is ``targets[entry_slot(name, len(targets))]``;
-        a one-element target list *merges* a split directory back to a
-        single shard (the row is kept, never dropped — see the module
-        notes on resurrection).  The intent records the pre-flip
-        ``sources`` (the shards that may hold entries now): a redo after
-        the flip would otherwise consult the new map and miss them.
-        """
-        self._check_hops(_hops, dir_path)
-        yield from self._dispatch()
-        epoch = self.epoch
-        norm = normalize(dir_path)
-        targets = [int(t) for t in targets]
-        if not targets or any(
-                not 0 <= t < self.n_shards for t in targets):
-            raise FsError.einval(f"bad partition targets: {targets}")
-        owner = self._dir_owner(norm)
-        if owner != self.shard_id:
-            result = yield from self._peer(
-                owner, "split_dir", norm, targets, now, _hops + 1)
-            return result
-        if tuple(targets) == self.sharding.partitions.get(norm):
-            return False
-        sources = self.sharding.entry_shards(norm, self.n_shards)
-        tids = []
-
-        def body(txn):
-            row = self._txn_resolve(txn, norm)
-            if row["kind"] != DIRECTORY:
-                raise FsError.enotdir(norm)
-            tids.append(self._txn_intent(txn, epoch, {
-                "id": self._new_tid(), "role": "coord", "op": "split",
-                "dir": norm, "vino": row["vino"], "shards": targets,
-                "sources": list(sources), "seq": now,
-            }))
-            return row["vino"]
-
-        try:
-            vino = yield from self.dbsvc.execute(self._local_body(body))
-        except BaseException:
-            self._done_tids(tids)
-            raise
-        try:
-            yield from self._finish_split(
-                norm, vino, targets, list(sources), now,
-                self._stamp(epoch))
-            yield from self.intent_forget(tids[0])
-        except EpochFenced:
-            pass  # the split intent is durable; recovery rolls it forward
-        finally:
-            self._done_tids(tids)
-        return True
-
-    def merge_dir(self, dir_path, now, _hops=0):
-        """Coroutine/RPC: collapse a split directory back to its owner.
-
-        A split to a single target: every entry re-routes to the
-        directory's whole-directory owner, and the surviving one-element
-        ``partitions`` row is routing-equivalent to no row at all.
-        """
-        norm = normalize(dir_path)
-        if norm not in self.sharding.partitions:
-            return False
-        owner = self.sharding.shard_of_dir(norm, self.n_shards)
-        result = yield from self.split_dir(norm, [owner], now, _hops)
-        return result
-
-    def _finish_split(self, norm, vino, targets, sources, seq, stamp):
-        """Coroutine: the idempotent tail of a split (shared with redo).
-
-        Stage every source's assigned-away entries → verified flip at
-        the coordinator (partitions row + in-memory map, atomic with the
-        proof that *this* shard's stragglers are shipped) → broadcast →
-        catch-up-and-purge round per remote source → purge local copies.
-        For the common single-source split the flip's verification is
-        complete and the visibility window is exactly zero; with remote
-        sources the post-flip catch-up bounds it to entries created
-        there mid-staging (see the module notes).
-        """
-        fanout = tuple(targets)
-
-        def dest_of(name):
-            return fanout[entry_slot(name, len(fanout))] % self.n_shards
-
-        for src in sources:
-            if src != self.shard_id:
-                yield from self._stage_partition(src, vino, dest_of, stamp)
-
-        def flip(txn):
-            row = txn.read("partitions", norm)
-            if row is not None and row["seq"] > seq:
-                return
-            txn.write("partitions",
-                      {"path": norm, "shards": list(targets), "seq": seq})
-            self.sharding.partitions[norm] = fanout
-
-        keys, vinos = yield from self._verified_flip(
-            vino, dest_of, flip, stamp)
-        yield from self._broadcast(
-            "mirror_partitions", norm, list(targets), seq, stamp=stamp)
-        for src in sources:
-            if src != self.shard_id:
-                yield from self._stage_partition(
-                    src, vino, dest_of, stamp, purge=True)
-        if keys:
-            yield from self._call_shard(
-                self.shard_id, "purge_dir_children", vino, keys, vinos,
-                stamp)
-        return True
-
     def _stage_partition(self, src, vino, dest_of, stamp, purge=False):
         """Coroutine: ship ``src``'s assigned-away entries of ``vino``.
 
         One copy→import round from a remote source, grouped by each
-        entry's post-split destination; with ``purge`` the shipped
+        entry's post-flip destination; with ``purge`` the shipped
         originals are then dropped at ``src`` (the post-flip catch-up
         round — by then routing no longer reaches them there).
         """
@@ -402,323 +349,158 @@ class ShardRebalancePart:
                 src, "purge_dir_children", vino, keys, moved_vinos, stamp)
         return True
 
-    def redo_split(self, rec):
-        """Coroutine: roll a surviving ``split`` intent forward.
+    def redo_route(self, rec):
+        """Coroutine: roll a surviving ``route`` intent forward.
 
         Re-stages from the intent's recorded *pre-flip* sources (the
-        live map may already show the new fanout), re-commits the
-        newest-wins flip, and re-purges — all idempotent.
+        live map may already show the new row), re-commits the
+        newest-wins flip, and re-purges — all idempotent, so re-running
+        it under the recovering coordinator's fresh epoch converges from
+        any crash point.
         """
-        yield from self._finish_split(
-            rec["dir"], rec["vino"], rec["shards"], rec["sources"],
-            rec["seq"], self._stamp())
+        yield from self._finish_route(
+            rec["dir"], rec["vino"], rec["owner"], rec["shards"],
+            rec["sources"], rec["seq"], self._stamp())
         yield from self.intent_forget(rec["id"])
         return True
 
-    def mirror_partitions(self, dir_path, shards, seq, stamp=None):
-        """RPC (shard-to-shard): persist a partition row here
-        (newest-``seq``-wins, like :meth:`mirror_override`)."""
+    # -- the durable routing rows -------------------------------------------
+
+    @staticmethod
+    def _txn_write_route(txn, norm, owner, shards, seq):
+        """Txn fragment: upsert a routing row unless a newer one won."""
+        row = txn.read("routes", norm)
+        if row is not None and row["seq"] > seq:
+            return False
+        txn.write("routes", {"path": norm, "owner": owner,
+                             "shards": list(shards), "seq": seq})
+        return True
+
+    @staticmethod
+    def _txn_drop_route(txn, norm, seq):
+        """Txn fragment: delete the routing row unless a newer one won."""
+        row = txn.read("routes", norm)
+        if row is None or row["seq"] > seq:
+            return False
+        txn.delete("routes", norm)
+        return True
+
+    def mirror_route(self, dir_path, owner, shards, seq, stamp=None):
+        """RPC (shard-to-shard): persist a routing row here.
+
+        A row with a newer ``seq`` wins (two successive routing changes
+        of one directory replay in either order during recovery).
+        """
         yield from self._dispatch()
 
         def body(txn):
             self._check_stamp(stamp)
-            row = txn.read("partitions", dir_path)
-            if row is not None and row["seq"] > seq:
-                return False
-            txn.write("partitions",
-                      {"path": dir_path, "shards": list(shards),
-                       "seq": seq})
-            return True
+            return self._txn_write_route(txn, dir_path, owner, shards, seq)
 
         result = yield from self.dbsvc.execute(body)
         if result:
-            self.sharding.partitions[dir_path] = tuple(shards)
+            self.sharding.routes[dir_path] = (owner, tuple(shards))
         return result
 
-    def _drop_partitions_body(self, norm, seq):
-        """Txn body: delete the partition row unless a newer one won."""
+    def _txn_rekey_routes(self, txn, old, new, now):
+        """Txn fragment: move routing rows under ``old`` to ``new``.
 
-        def body(txn):
-            row = txn.read("partitions", norm)
-            if row is None or row["seq"] > seq:
-                return False
-            txn.delete("partitions", norm)
-            return True
-
-        return body
-
-    def _txn_rekey_partitions(self, txn, old, new):
-        """Txn fragment: move partition rows under ``old`` to ``new``.
-
-        Entry placement hashes only names, so renaming a split directory
-        (or an ancestor of one) re-keys its row and moves nothing; the
-        caller applies the returned ``(old_path, new_path)`` pairs to the
-        in-memory map in the same atomic body (and each replica's replay
-        re-keys its own durable rows).
+        Entry placement hashes only names, and a re-homed directory
+        keeps its home, so renaming a routed directory (or an ancestor
+        of one) re-keys its row and moves nothing.  A row at ``new``
+        that no re-keyed row replaces belongs to the empty directory
+        the rename destroys: it dies with it, newest-seq-wins as rmdir
+        drops it, so the renamed directory routes by its own rows or
+        the static rule.  Returns ``(old_path, new_path)`` pairs for
+        the in-memory map — ``new_path`` None for the drop — which the
+        caller applies once the transaction commits (and each
+        replica's replay re-keys its own durable rows).
         """
-        moved = []
-        for row in list(txn.match("partitions")):
+        moved, replaced = [], False
+        for row in list(txn.match("routes")):
             path = row["path"]
             if path == old or path.startswith(old + "/"):
                 dest = new + path[len(old):]
-                txn.delete("partitions", path)
+                txn.delete("routes", path)
                 row = dict(row)
                 row["path"] = dest
-                txn.write("partitions", row)
+                txn.write("routes", row)
                 moved.append((path, dest))
+            elif path == new:
+                replaced = row["seq"] <= now
+        if replaced and all(dest != new for _path, dest in moved):
+            txn.delete("routes", new)
+            moved.append((new, None))
         return moved
 
-    def _rekey_partitions_mem(self, moved):
-        """Apply re-keyed partition paths to the shared in-memory map."""
+    def _rekey_routes_mem(self, moved):
+        """Apply re-keyed (or dropped) routing paths to the shared
+        in-memory map."""
         for old_path, new_path in moved:
-            fanout = self.sharding.partitions.pop(old_path, None)
-            if fanout is not None:
-                self.sharding.partitions[new_path] = fanout
-
-    # -- forgetting an override (admin entry point) -------------------------
-
-    def forget_override(self, dir_path, now, _hops=0):
-        """Coroutine/RPC: durably drop ``dir_path``'s re-homing override.
-
-        The administrative complement of :meth:`rebalance_dir`, closing
-        the "override outlives its directory" stickiness for directories
-        that still exist: under a durable ``forget_override`` intent the
-        population is staged at the static owner, the verified flip
-        drops the local row (routing reverts atomically with the proof
-        the static owner holds everything), and the drop is broadcast
-        tier-wide.  Runs on the directory's current owner
-        (self-forwarding).  rmdir needs none of this — its broadcast
-        drops the row on every shard (see
-        :meth:`~repro.core.shard.replication.ShardReplicationPart.
-        mirror_rmdir`) and an empty directory has no population to move.
-        """
-        self._check_hops(_hops, dir_path)
-        yield from self._dispatch()
-        epoch = self.epoch
-        norm = normalize(dir_path)
-        if norm not in self.sharding.overrides:
-            return False
-        owner = self._dir_owner(norm)
-        if owner != self.shard_id:
-            result = yield from self._peer(
-                owner, "forget_override", norm, now, _hops + 1)
-            return result
-        static = self.sharding.static_shard_of_dir(norm, self.n_shards)
-        tids = []
-
-        def body(txn):
-            row = self._txn_resolve(txn, norm)
-            if row["kind"] != DIRECTORY:
-                raise FsError.enotdir(norm)
-            # The intent commits before any state moves: every later step
-            # (staging, the flip, row drops, broadcast) is idempotent, so
-            # a crash anywhere is rolled *forward* by redo_forget_override.
-            tids.append(self._txn_intent(txn, epoch, {
-                "id": self._new_tid(), "role": "coord",
-                "op": "forget_override", "dir": norm,
-                "vino": row["vino"], "static": static, "seq": now,
-            }))
-            return row["vino"]
-
-        try:
-            vino = yield from self.dbsvc.execute(self._local_body(body))
-        except BaseException:
-            self._done_tids(tids)
-            raise
-        try:
-            yield from self._finish_forget_override(
-                norm, vino, static, now, self._stamp(epoch))
-            yield from self.intent_forget(tids[0])
-        except EpochFenced:
-            pass  # the forget intent is durable; recovery rolls it forward
-        finally:
-            self._done_tids(tids)
-        return True
-
-    def _finish_forget_override(self, norm, vino, static, seq, stamp):
-        """Coroutine: the idempotent tail of a forget (shared with redo).
-
-        The same stage → verified-flip → broadcast → purge shape as
-        :meth:`_finish_rebalance`, with the flip *dropping* the local
-        override row: routing reverts to the static rule only in the
-        transaction that proved the static owner holds every entry, so
-        concurrent readers see the population on whichever shard their
-        routing snapshot names, and a write racing the flip is forwarded
-        by the ownership re-check.  The drop carries the forget's
-        ``seq`` and obeys the same newest-wins discipline as
-        ``mirror_override``: a redo replaying this forget late must not
-        destroy an override a *later* re-homing installed (whose
-        population has already moved — dropping its row would strand
-        every one of those inodes behind static-rule routing).
-        """
-
-        def flip(txn):
-            if self._drop_override_body(norm, seq)(txn):
-                self.sharding.overrides.pop(norm, None)
-
-        if static != self.shard_id:
-            keys, vinos = yield from self._verified_flip(
-                vino, lambda name: static, flip, stamp)
-        else:
-            keys = vinos = ()
-            yield from self.dbsvc.execute(self._local_body(flip))
-        yield from self._broadcast(
-            "mirror_forget_override", norm, seq, stamp=stamp)
-        if keys:
-            yield from self._call_shard(
-                self.shard_id, "purge_dir_children", vino, keys, vinos,
-                stamp)
-        return True
-
-    def _drop_override_body(self, norm, seq):
-        """Txn body: delete the override row unless a newer one won."""
-
-        def body(txn):
-            row = txn.read("overrides", norm)
-            if row is None or row["seq"] > seq:
-                return False
-            txn.delete("overrides", norm)
-            return True
-
-        return body
-
-    def redo_forget_override(self, rec):
-        """Coroutine: roll a surviving ``forget_override`` intent forward."""
-        yield from self._finish_forget_override(
-            rec["dir"], rec["vino"], rec["static"], rec["seq"],
-            self._stamp())
-        yield from self.intent_forget(rec["id"])
-        return True
-
-    def mirror_forget_override(self, dir_path, seq, stamp=None):
-        """RPC (shard-to-shard): drop a re-homing override row here
-        (newest-seq-wins, like :meth:`mirror_override`)."""
-        yield from self._dispatch()
-
-        def body(txn):
-            self._check_stamp(stamp)
-            return self._drop_override_body(dir_path, seq)(txn)
-
-        result = yield from self.dbsvc.execute(body)
-        if result:
-            self.sharding.overrides.pop(dir_path, None)
-        return result
+            route = self.sharding.routes.pop(old_path, None)
+            if route is not None and new_path is not None:
+                self.sharding.routes[new_path] = route
 
     # -- recovery ----------------------------------------------------------
 
-    def override_rows(self):
-        """RPC (shard-to-shard): this shard's durable override rows."""
+    def route_rows(self):
+        """RPC (shard-to-shard): this shard's durable routing rows."""
         yield from self._dispatch()
 
         def body(txn):
-            return [dict(row) for row in txn.match("overrides")]
+            return [dict(row) for row in txn.match("routes")]
 
         rows = yield from self.dbsvc.execute(body)
         return rows
 
-    def sync_overrides(self, rows):
+    def sync_routes(self, rows):
         """RPC (shard-to-shard): make this table exactly the given rows."""
         yield from self._dispatch()
 
         def body(txn):
             want = {row["path"]: row for row in rows}
-            for row in txn.match("overrides"):
+            for row in txn.match("routes"):
                 if row["path"] not in want:
-                    txn.delete("overrides", row["path"])
+                    txn.delete("routes", row["path"])
             for path, row in want.items():
-                cur = txn.read("overrides", path)
+                cur = txn.read("routes", path)
                 if cur is None or dict(cur) != row:
-                    txn.write("overrides", dict(row))
+                    txn.write("routes", dict(row))
             return True
 
         result = yield from self.dbsvc.execute(body)
         return result
 
-    def restore_overrides(self):
-        """Coroutine: rebuild the tier's override map from durable rows.
+    def restore_routes(self):
+        """Coroutine: rebuild the tier's routing map from durable rows.
 
-        Union over every shard's table, newest ``seq`` (shard id breaks
-        ties) winning per path; the merged set is pushed back to every
-        shard and becomes the shared in-memory map.  Runs after intent
-        completion — a surviving rebalance intent has just re-installed
-        its override everywhere — and before the skeleton resync, whose
-        authority function routes through the overrides.  Under the
-        default synchronous journal an override row is durable before the
-        in-memory flip, so the union is exact; with ``sync_updates=False``
-        an override every shard lost reverts to the static rule (like any
-        other lost update under the async policy).
+        Union over every shard's table, newest ``(seq, owner, shards)``
+        winning per path; the merged set is pushed back to every shard
+        and becomes the shared in-memory map.  Runs after intent
+        completion — a surviving ``route`` intent has just re-installed
+        its row everywhere — and before the skeleton resync, whose
+        authority function routes through the map.  Under the default
+        synchronous journal a row is durable before the in-memory flip,
+        so the union is exact; with ``sync_updates=False`` a row every
+        shard lost reverts to the previous routing (like any other lost
+        update under the async policy).
         """
         best = {}
         for shard in range(self.n_shards):
-            rows = yield from self._call_shard(shard, "override_rows")
+            rows = yield from self._call_shard(shard, "route_rows")
             for row in rows:
                 cur = best.get(row["path"])
                 if cur is None or \
-                        (row["seq"], row["shard"]) > (cur["seq"], cur["shard"]):
+                        (row["seq"], row["owner"], row["shards"]) > \
+                        (cur["seq"], cur["owner"], cur["shards"]):
                     best[row["path"]] = dict(row)
         for shard in range(self.n_shards):
             yield from self._call_shard(
-                shard, "sync_overrides", list(best.values()))
-        self.sharding.overrides.clear()
-        self.sharding.overrides.update(
-            {path: row["shard"] for path, row in best.items()})
-        return len(best)
-
-    def partition_rows(self):
-        """RPC (shard-to-shard): this shard's durable partition rows."""
-        yield from self._dispatch()
-
-        def body(txn):
-            return [dict(row) for row in txn.match("partitions")]
-
-        rows = yield from self.dbsvc.execute(body)
-        return rows
-
-    def sync_partitions(self, rows):
-        """RPC (shard-to-shard): make this table exactly the given rows."""
-        yield from self._dispatch()
-
-        def body(txn):
-            want = {row["path"]: row for row in rows}
-            for row in txn.match("partitions"):
-                if row["path"] not in want:
-                    txn.delete("partitions", row["path"])
-            for path, row in want.items():
-                cur = txn.read("partitions", path)
-                if cur is None or dict(cur) != row:
-                    txn.write("partitions", dict(row))
-            return True
-
-        result = yield from self.dbsvc.execute(body)
-        return result
-
-    def restore_partitions(self):
-        """Coroutine: rebuild the tier's partition map from durable rows.
-
-        The exact analogue of :meth:`restore_overrides` (union, newest
-        ``(seq, shard)`` wins per path, pushed back tier-wide, in-memory
-        map rebuilt); runs right after it in recovery, and for the same
-        reason before the skeleton resync — the resync's authority
-        function routes entry lookups through the partition map.  A
-        merged directory's surviving one-element row restores as
-        routing-equivalent to no split, which is why merges never delete
-        the row (a deleted row could resurrect from a stale peer here).
-        """
-        best = {}
-        for shard in range(self.n_shards):
-            rows = yield from self._call_shard(shard, "partition_rows")
-            for row in rows:
-                cur = best.get(row["path"])
-                if cur is None or \
-                        (row["seq"], row["shards"]) > \
-                        (cur["seq"], cur["shards"]):
-                    best[row["path"]] = dict(row)
-        for shard in range(self.n_shards):
-            yield from self._call_shard(
-                shard, "sync_partitions", list(best.values()))
-        self.sharding.partitions.clear()
-        self.sharding.partitions.update(
-            {path: tuple(row["shards"]) for path, row in best.items()})
+                shard, "sync_routes", list(best.values()))
+        self.sharding.routes.clear()
+        self.sharding.routes.update(
+            {path: (row["owner"], tuple(row["shards"]))
+             for path, row in best.items()})
         return len(best)
 
 
@@ -777,7 +559,7 @@ class Rebalancer:
         owner = {path: sharding.shard_of_dir(path, n) for path in dir_load}
         shard_load = [0] * n
         for path, count in dir_load.items():
-            if path in sharding.partitions:
+            if sharding.is_split(path):
                 # A split directory's load is already spread over its
                 # partitions; attribute it evenly and never plan a move
                 # for it (its entries have no single source to move).
@@ -793,7 +575,7 @@ class Rebalancer:
         for path in sorted(dir_load, key=lambda p: (-dir_load[p], p)):
             if len(moves) >= limit:
                 break
-            if path in sharding.partitions:
+            if sharding.is_split(path):
                 continue
             src = owner[path]
             if shard_load[src] <= self.threshold * mean:
@@ -829,16 +611,15 @@ class Rebalancer:
             # Nothing is hot; any still-split directory has fully cooled
             # and merges back to its whole-directory owner.
             return [(path, [sharding.shard_of_dir(path, n)])
-                    for path in sorted(sharding.partitions)
-                    if len(set(sharding.partitions[path])) > 1]
+                    for path in sorted(sharding.routes)
+                    if sharding.is_split(path)]
         per_shard = total / n
         plans = []
-        candidates = set(dir_load) | set(sharding.partitions)
+        candidates = set(dir_load) | set(sharding.routes)
         for path in sorted(candidates,
                            key=lambda p: (-dir_load.get(p, 0), p)):
             load = dir_load.get(path, 0)
-            fanout = sharding.partitions.get(path)
-            split = fanout is not None and len(set(fanout)) > 1
+            split = sharding.is_split(path)
             if not split and load > self.split_threshold * per_shard:
                 plans.append((path, list(range(n))))
             elif split and load < self.merge_threshold * per_shard:

@@ -1,10 +1,8 @@
 """Recovery: epoch fencing, tier-wide completion, resync, reconcile, reseat.
 
-The crash-recovery layer of the sharded tier (formerly the *recovery* and
-*tier-wide recovery passes* sections of the old ``repro/core/sharding.py``
-monolith).  One shard's :meth:`ShardRecoveryPart.recover` — or the
-module-level :func:`recover_tier` after a whole-tier crash — runs, in
-order:
+The crash-recovery layer of the sharded tier.  One shard's
+:meth:`ShardRecoveryPart.recover` — or the module-level
+:func:`recover_tier` after a whole-tier crash — runs, in order:
 
 1. local journal rebuild + **epoch bump** + allocator reseat
    (``recover_local``; incoming requests wait on the admission gate
@@ -22,7 +20,7 @@ order:
    Completion must precede resync: a half-replicated change's surviving
    intent re-broadcasts it, whereas resyncing first would read it as
    divergence and erase both sides;
-4. :meth:`~repro.core.shard.rebalance.ShardRebalancePart.restore_overrides`
+4. :meth:`~repro.core.shard.rebalance.ShardRebalancePart.restore_routes`
    and :meth:`resync_skeleton` — **only when the rebuild actually lost
    journaled transactions** (``sync_updates=False`` restores an older
    prefix).  Under the default synchronous journal nothing is lost, the
@@ -80,9 +78,7 @@ class ShardRecoveryPart:
                 # default) they are skipped and recovery never rewrites
                 # state a live operation is mid-way through.
                 yield from self._recovery_pass(
-                    "restore_overrides", self.restore_overrides())
-                yield from self._recovery_pass(
-                    "restore_partitions", self.restore_partitions())
+                    "restore_routes", self.restore_routes())
                 yield from self._recovery_pass(
                     "resync_skeleton", self.resync_skeleton())
             yield from self._recovery_pass(
@@ -804,7 +800,7 @@ class ShardRecoveryPart:
         elif op == "rename_flip":
             # The flip record survived ⟺ its commit transaction (which
             # deletes it) never ran: abort — unstage the alias everywhere
-            # and drop the partition-map alias keys.
+            # and drop the routing-map alias keys.
             yield from self.redo_flip(rec)
         elif op == "unlink_stub":
             dedup = self._dedup_id(rec["id"], rec["vino"])
@@ -813,14 +809,10 @@ class ShardRecoveryPart:
                 stamp)
             yield from self.intent_forget(rec["id"])
             yield from self._peer(rec["home"], "intent_forget", dedup)
-        elif op == "rebalance":
-            yield from self.redo_rebalance(rec)
-        elif op == "split":
-            yield from self.redo_split(rec)
+        elif op == "route":
+            yield from self.redo_route(rec)
         elif op == "stage":
             yield from self.redo_stage(rec)
-        elif op == "forget_override":
-            yield from self.redo_forget_override(rec)
         return True
 
     def retire_rename_part(self, tid, stamp=None):
@@ -940,9 +932,7 @@ def recover_tier(shards):
         yield from driver._recovery_pass(
             "complete_intents", driver.complete_tier_intents(dead))
         yield from driver._recovery_pass(
-            "restore_overrides", driver.restore_overrides())
-        yield from driver._recovery_pass(
-            "restore_partitions", driver.restore_partitions())
+            "restore_routes", driver.restore_routes())
         if lost:
             yield from driver._recovery_pass(
                 "resync_skeleton", driver.resync_skeleton())

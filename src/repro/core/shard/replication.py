@@ -289,20 +289,16 @@ class ShardReplicationPart:
         tids = []
         norm = normalize(path)
         inner = self._rmdir_body(path, now)
-
-        forgotten = []
+        dropped = []
 
         def body(txn):
             result = inner(txn)
-            # A re-homing override — and a partition row — dies with its
-            # directory: dropping the durable rows atomically with the
-            # rmdir (and on every peer via mirror_rmdir) closes the
-            # "override outlives its directory" stickiness — a recreated
-            # directory routes by the static rule again, unsplit.
-            if self._drop_override_body(norm, now)(txn):
-                forgotten.append("override")
-            if self._drop_partitions_body(norm, now)(txn):
-                forgotten.append("partitions")
+            # The routing row dies with its directory: dropping it
+            # atomically with the rmdir (and on every peer via
+            # mirror_rmdir) means a recreated directory routes by the
+            # static rule again, unsplit.
+            if self._txn_drop_route(txn, norm, now):
+                dropped.append(norm)
             tids.append(self._txn_mirror_intent(
                 txn, "mirror_rmdir", [path, now], epoch))
             return result
@@ -316,10 +312,8 @@ class ShardReplicationPart:
             # Committed locally (and shipped); fenced or killed in the
             # broadcast tail: the completion pass redoes the mirrors
             # from the journaled intent.
-            if "override" in forgotten:
-                self.sharding.overrides.pop(norm, None)
-            if "partitions" in forgotten:
-                self.sharding.partitions.pop(norm, None)
+            if dropped:
+                self.sharding.routes.pop(norm, None)
             yield from self._broadcast(
                 "mirror_rmdir", path, now, stamp=self._stamp(epoch))
             yield from self.intent_forget(tids[0])
@@ -416,28 +410,26 @@ class ShardReplicationPart:
         file becomes unreachable (the skeleton diverges until the retried
         rmdir; full cross-shard atomicity is a ROADMAP open item).
 
-        Any re-homing override row for the path is dropped in the same
-        transaction — on *every* path through the replay, including the
-        refusal: the coordinator's commit is the authoritative removal
-        of the directory, its own row is already gone, and a refusing
-        shard keeping the row would diverge the override tables (and a
-        later ``restore_overrides`` union would resurrect the forgotten
-        override tier-wide).  The forget-on-rmdir thereby rides the
-        existing redoable broadcast instead of needing its own intent.
+        Any routing row for the path is dropped in the same transaction
+        — on *every* path through the replay, including the refusal: the
+        coordinator's commit is the authoritative removal of the
+        directory, its own row is already gone, and a refusing shard
+        keeping the row would diverge the routing tables (and a later
+        ``restore_routes`` union would resurrect the row tier-wide).
+        The drop thereby rides the existing redoable broadcast instead
+        of needing its own intent.
         """
         yield from self._dispatch()
         norm = normalize(path)
-        forgotten = []
+        dropped = []
 
         def body(txn):
             self._check_stamp(stamp)
-            # Same newest-wins discipline as mirror_override: a redo
-            # replaying this rmdir late must not drop an override (or a
-            # partition row) a recreated directory acquired since.
-            if self._drop_override_body(norm, now)(txn):
-                forgotten.append("override")
-            if self._drop_partitions_body(norm, now)(txn):
-                forgotten.append("partitions")
+            # Same newest-wins discipline as mirror_route: a redo
+            # replaying this rmdir late must not drop a row a recreated
+            # directory acquired since.
+            if self._txn_drop_route(txn, norm, now):
+                dropped.append(norm)
             try:
                 parent, name = self._txn_resolve_parent(txn, path)
             except FsError:
@@ -458,10 +450,8 @@ class ShardReplicationPart:
             return True
 
         result = yield from self.dbsvc.execute(self._local_body(body))
-        if "override" in forgotten:
-            self.sharding.overrides.pop(norm, None)
-        if "partitions" in forgotten:
-            self.sharding.partitions.pop(norm, None)
+        if dropped:
+            self.sharding.routes.pop(norm, None)
         return result
 
     def mirror_rename_stage(self, old, new, seq, vino, stamp=None):
@@ -520,12 +510,12 @@ class ShardReplicationPart:
         mtime/ctime instead of a per-partition merge.
 
         Plain python end to end: advisory timestamps get no simulated
-        events (charge-preserving, like the shared partition map — see
+        events (charge-preserving, like the shared routing map — see
         :meth:`bump_dir_times`), so the common unsplit/served-here path
         and the forwarded path alike cost nothing modeled.
         """
         parent, _name = split(path)
-        if normalize(parent) not in self.sharding.partitions:
+        if normalize(parent) not in self.sharding.routes:
             return False
         owner = self._dir_owner(parent)
         if owner == self.shard_id:

@@ -1,17 +1,14 @@
 """Routing: partitioning policies, the client router, and forwards.
 
 This module is the "where does this operation belong" layer of the sharded
-tier (formerly the *Partitioning policies*, *Client-side router*, *shard
-arithmetic*, *peer communication*, *resolution hooks* and *forwarded
-single-path handlers* sections of the old ``repro/core/sharding.py``
-monolith):
+tier:
 
 - :class:`ShardingPolicy` / :class:`HashDirSharding` /
   :class:`SubtreeSharding` — the partition function (which shard owns a
-  directory's entries), now with an *override map* consulted first: the
-  online re-balancer (:mod:`repro.core.shard.rebalance`) re-homes hot
-  directories by installing overrides, so the base policy stays static
-  while ownership follows load.
+  directory's entries), with the *routing map* consulted first: one
+  ``path → (owner, shards)`` row per directory the online re-balancer
+  (:mod:`repro.core.shard.rebalance`) re-homed, split or merged, so the
+  base policy stays static while ownership follows load.
 - :class:`ShardRouter` — the client-side replacement for the single-target
   :class:`~repro.core.metadriver.MetadataDriver`, routing each op by path
   (or learned vino home), and keeping per-shard / per-directory load
@@ -112,21 +109,21 @@ def entry_slot(name, fanout):
 class ShardingPolicy:
     """Interface: which shard owns the entries of a directory.
 
-    ``overrides`` maps a normalized directory path to the shard the online
-    re-balancer re-homed it to; it is consulted before the base partition
-    function.  ``partitions`` maps a normalized directory path to the
-    tuple of shards its entries are *hash-partitioned* across (GIGA+-
-    style): when present it supersedes the whole-directory rule, and each
-    entry routes by the hash of its own name.  Both maps are shared by
-    every router and shard of one stack (modeling the small replicated
-    routing table a real tier pushes to its clients); the durable copies
-    live in each shard's ``overrides`` / ``partitions`` tables and are
-    restored on recovery (see :mod:`repro.core.shard.rebalance`).
+    ``routes`` is the routing map: a normalized directory path maps to
+    ``(owner, shards)``, written by every routing change (re-home,
+    split, merge, forget — see :mod:`repro.core.shard.rebalance`).
+    ``owner`` is the directory's whole-directory owner (its times and
+    getattr, further routing changes); ``shards`` the tuple its entries
+    are hash-partitioned across by name (GIGA+-style — one element for
+    an unsplit directory).  A path without a row falls to the static
+    partition function.  The map is shared by every router and shard of
+    one stack (modeling the small replicated routing table a real tier
+    pushes to its clients); the durable copy lives in each shard's
+    ``routes`` table and is restored on recovery.
     """
 
     def __init__(self):
-        self.overrides = {}
-        self.partitions = {}
+        self.routes = {}
 
     def shard_of_dir(self, dir_path, n_shards):
         """The shard (int in ``range(n_shards)``) owning ``dir_path``'s
@@ -134,9 +131,9 @@ class ShardingPolicy:
         if n_shards <= 1:
             return 0
         norm = normalize(dir_path)
-        override = self.overrides.get(norm)
-        if override is not None:
-            return override % n_shards
+        route = self.routes.get(norm)
+        if route is not None:
+            return route[0] % n_shards
         return self._base_shard(norm, n_shards)
 
     def shard_of_entry(self, dir_path, name, n_shards):
@@ -150,10 +147,14 @@ class ShardingPolicy:
         """
         if n_shards <= 1:
             return 0
-        fanout = self.partitions.get(normalize(dir_path))
-        if fanout:
-            return fanout[entry_slot(name, len(fanout))] % n_shards
-        return self.shard_of_dir(dir_path, n_shards)
+        norm = normalize(dir_path)
+        route = self.routes.get(norm)
+        if route is None:
+            return self._base_shard(norm, n_shards)
+        fanout = route[1]
+        if len(fanout) == 1:
+            return fanout[0] % n_shards
+        return fanout[entry_slot(name, len(fanout))] % n_shards
 
     def entry_shards(self, dir_path, n_shards):
         """Every shard that may own entries of ``dir_path`` (fan-out set).
@@ -164,22 +165,28 @@ class ShardingPolicy:
         """
         if n_shards <= 1:
             return (0,)
-        fanout = self.partitions.get(normalize(dir_path))
-        if fanout:
-            seen = []
-            for shard in fanout:
-                shard %= n_shards
-                if shard not in seen:
-                    seen.append(shard)
-            return tuple(seen)
-        return (self.shard_of_dir(dir_path, n_shards),)
+        norm = normalize(dir_path)
+        route = self.routes.get(norm)
+        if route is None:
+            return (self._base_shard(norm, n_shards),)
+        seen = []
+        for shard in route[1]:
+            shard %= n_shards
+            if shard not in seen:
+                seen.append(shard)
+        return tuple(seen)
+
+    def is_split(self, norm):
+        """Whether the row for normalized ``norm`` fans out over more
+        than one shard (a merged or re-homed directory's does not)."""
+        route = self.routes.get(norm)
+        return route is not None and len(set(route[1])) > 1
 
     def static_shard_of_dir(self, dir_path, n_shards):
-        """The shard the *static* rule names, ignoring any override.
+        """The shard the *static* rule names, ignoring the routing map.
 
-        The explicit bypass the forget-override protocol needs: it must
-        know where a directory's entries go once the override is gone,
-        while the override is still installed.
+        The explicit bypass the forget protocol needs: it must know
+        where a directory's entries go once its re-homing is forgotten.
         """
         if n_shards <= 1:
             return 0
@@ -603,7 +610,7 @@ class ShardRoutingPart:
 
         Zero simulated cost: fences are kept in memory (mirroring the
         durable ``epochs`` rows) exactly like the partition function's
-        override map, so the no-crash path pays a dict lookup and
+        routing map, so the no-crash path pays a dict lookup and
         nothing else.  Call this *inside* the transaction body for
         mutating handlers — bodies are atomic with respect to
         ``install_fences``, which closes the race between a fence landing
@@ -910,7 +917,7 @@ class ShardRoutingPart:
 
         Plain python, deliberately outside the transaction and RPC
         machinery: timestamps are advisory (POSIX latitude), so the
-        propagation is modeled free — like the shared partition map —
+        propagation is modeled free — like the shared routing map —
         and must stay charge-preserving (no simulated events, no
         journal records; a crash of this shard loses unjournaled
         bumps).  The walk follows this shard's own skeleton replica,

@@ -1,8 +1,7 @@
 """The sharded metadata service: one shard of the partitioned tier.
 
 Composes the layered subsystems of :mod:`repro.core.shard` into the
-concrete service class (formerly the single ``ShardMetadataService`` of
-the old ``repro/core/sharding.py`` monolith):
+concrete service class:
 
 - :class:`~repro.core.shard.routing.ShardRoutingPart` — shard arithmetic,
   peer RPCs, forwards, read handlers;
@@ -11,7 +10,7 @@ the old ``repro/core/sharding.py`` monolith):
 - :class:`~repro.core.shard.coordination.ShardCoordinationPart` —
   intent/prepare/dedup records, cross-shard rename/link, migration;
 - :class:`~repro.core.shard.rebalance.ShardRebalancePart` — online
-  load-aware re-partitioning;
+  load-aware re-partitioning over the routing map;
 - :class:`~repro.core.shard.recovery.ShardRecoveryPart` — crash recovery
   and the tier-wide repair passes;
 

@@ -204,12 +204,11 @@ class DbService:
 
     #: tables whose records other shards may already reference when the
     #: committing operation is acknowledged (coordination intents and
-    #: prepares, dedup records, epoch fences, re-partitioning state, the
+    #: prepares, dedup records, epoch fences, the routing map, the
     #: backup's applied pointer).  Losing them would break the recovery
     #: protocols, not just lose the op — so they always wait for their
     #: force, never ride the deferred-ack path.
-    _FORCE_TABLES = frozenset(
-        ("intents", "epochs", "repl", "overrides", "partitions"))
+    _FORCE_TABLES = frozenset(("intents", "epochs", "repl", "routes"))
 
     def _must_force(self, txn):
         staged = txn._staged

@@ -82,6 +82,11 @@ class ShardedCofs:
                 self.shards[shard].db.table("inodes").all()
                 if row["kind"] == FILE}
 
+    def route_rows(self, shard):
+        """``{path: (owner, shards)}`` of one shard's durable routes."""
+        return {row["path"]: (row["owner"], tuple(row["shards"]))
+                for row in self.shards[shard].db.table("routes").all()}
+
 
 @pytest.fixture
 def cofsx():

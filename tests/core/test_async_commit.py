@@ -36,7 +36,7 @@ from repro.core.faults import (
     disarm_force_boundaries,
     namespace_image,
 )
-from repro.core.sharding import SubtreeSharding
+from repro.core.shard import SubtreeSharding
 from repro.pfs.errors import FsError
 from tests.core.conftest import ShardedCofs
 

@@ -45,7 +45,7 @@ from repro.core.faults import (
     namespace_image,
     revive_member,
 )
-from repro.core.sharding import SubtreeSharding, recover_tier
+from repro.core.shard import SubtreeSharding, recover_tier
 from repro.pfs.errors import FsError
 from tests.core.conftest import ShardedCofs
 
@@ -59,9 +59,10 @@ def _split(n):
 def _apply(host, ops):
     """Coroutine: drive a list of op tuples through the host's first mount.
 
-    The ``rebalance`` op is tier-level rather than a client call: it runs
-    the owner shard's re-homing protocol directly (the rebalancer is a
-    control-plane driver, not a filesystem client).
+    The routing ops (``rebalance``, ``split``, ``merge``, ``forget``)
+    are tier-level rather than client calls: they run the owner shard's
+    routing protocol directly (the rebalancer is a control-plane driver,
+    not a filesystem client).
     """
     fs = host.mounts[0]
     for op in ops:
@@ -100,6 +101,11 @@ def _apply(host, ops):
             sharding = host.stack.sharding
             src = sharding.shard_of_dir(path, len(host.shards))
             yield from host.shards[src].merge_dir(path, host.sim.now)
+        elif kind == "forget":
+            _kind, path = op
+            sharding = host.stack.sharding
+            src = sharding.shard_of_dir(path, len(host.shards))
+            yield from host.shards[src].forget_override(path, host.sim.now)
         else:  # pragma: no cover - scenario typo guard
             raise AssertionError(f"unknown op {kind}")
     return True
@@ -210,9 +216,47 @@ SCENARIOS = {
         # /a may legitimately be gone after the op: probe at the root.
         probe=[("create", "/probe"), ("unlink", "/probe")],
     ),
+    "rename-rehomed-dir": dict(
+        # Renaming a re-homed directory re-keys its routing row: the
+        # population stays on its home shard under the new name, and
+        # no row is left behind at the old one.
+        shards=2,
+        setup=[("mkdir", "/a"), ("create", "/a/f"), ("create", "/a/g"),
+               ("create", "/a/h"), ("rebalance", "/a", 1)],
+        op=[("rename", "/a", "/c")],
+        probe=[("create", "/probe"), ("unlink", "/probe")],
+    ),
+    # -- renames over an empty routed directory: the replaced
+    #    directory's row dies with it (as on rmdir), so the moved
+    #    population migrates to the static owner of its new name — not
+    #    to the replaced row's home, and never left behind.
+    "rename-over-rehomed-dir": dict(
+        shards=3,
+        setup=[("mkdir", "/a"), ("mkdir", "/b"), ("mkdir", "/b/d"),
+               ("rebalance", "/b/d", 2), ("mkdir", "/a/x"),
+               ("create", "/a/x/f"), ("create", "/a/x/g"),
+               ("create", "/a/x/h")],
+        op=[("rename", "/a/x", "/b/d")],
+    ),
+    "rename-over-forgotten-dir": dict(
+        shards=2,
+        setup=[("mkdir", "/a"), ("mkdir", "/b"), ("mkdir", "/b/d"),
+               ("rebalance", "/b/d", 0), ("forget", "/b/d"),
+               ("mkdir", "/a/x"), ("create", "/a/x/f"),
+               ("create", "/a/x/g"), ("create", "/a/x/h")],
+        op=[("rename", "/a/x", "/b/d")],
+    ),
+    "rename-over-split-dir": dict(
+        shards=2,
+        setup=[("mkdir", "/a"), ("mkdir", "/b"), ("mkdir", "/b/d"),
+               ("split", "/b/d", [0, 1]), ("mkdir", "/a/x"),
+               ("create", "/a/x/f"), ("create", "/a/x/g"),
+               ("create", "/a/x/h"), ("create", "/a/x/i")],
+        op=[("rename", "/a/x", "/b/d")],
+    ),
     # -- online re-partitioning: the migration is namespace-invisible
     #    (paths never change), so these drills lean on the structural
-    #    invariants — reachability via the overridden routing, override
+    #    invariants — reachability via the re-homed routing, routing
     #    tables identical everywhere, counters reconciled.
     "rebalance-dir-population": dict(
         shards=2,
@@ -237,9 +281,18 @@ SCENARIOS = {
         invisible=True,
         parallel=True,
     ),
+    "forget-rehomed-dir": dict(
+        # The population comes home to the static owner and the row
+        # is rewritten to name it.
+        shards=2,
+        setup=[("mkdir", "/a"), ("create", "/a/f"), ("create", "/a/g"),
+               ("create", "/a/h"), ("rebalance", "/a", 1)],
+        op=[("forget", "/a")],
+        invisible=True,
+    ),
     # -- intra-directory splits: hash-partitioning a hot directory's
     #    entries across shards.  Same invisibility rule as re-homing,
-    #    plus the partitions-table invariants (identical everywhere, in
+    #    plus the routing-table invariants (identical everywhere, in
     #    memory == durable) at every crash point.
     "split-dir-population": dict(
         shards=2,
@@ -480,8 +533,13 @@ CONCURRENT = [
     "rmdir-replicated",
     "rename-replicated-dir-migrates-subtree",
     "rename-split-dir",
+    "rename-rehomed-dir",
+    "rename-over-rehomed-dir",
+    "rename-over-forgotten-dir",
+    "rename-over-split-dir",
     "rebalance-dir-population",
     "rebalance-dir-with-stub",
+    "forget-rehomed-dir",
     "split-dir-population",
     "split-dir-with-stub",
     "merge-split-dir",
@@ -587,6 +645,10 @@ MIGRATION_READS = {
         probes=[["/a/f"], ["/a/g"], ["/b/l"]],
         listings={"/a": ["f", "g"]},
     ),
+    "forget-rehomed-dir": dict(
+        probes=[["/a/f"], ["/a/g"], ["/a/h"]],
+        listings={"/a": ["f", "g", "h"]},
+    ),
 }
 
 
@@ -662,10 +724,10 @@ def test_readers_never_lose_an_entry_mid_migration(name):
 
 #: rename scenarios for the old-XOR-new reader drill, one per flavor:
 #: same-shard replicated dir, cross-shard file, renamed-subtree move
-#: (serial and parallel broadcasts), and a split directory re-keying its
-#: partition rows.  Each probe lists a name's old and new alternatives —
-#: a concurrent walk must resolve at least one at every instant
-#: (old, new, or both during the staged window — never neither).
+#: (serial and parallel broadcasts), and a split or re-homed directory
+#: re-keying its routing row.  Each probe lists a name's old and new
+#: alternatives — a concurrent walk must resolve at least one at every
+#: instant (old, new, or both during the staged window — never neither).
 RENAME_READS = {
     "rename-replicated-dir-same-parent": dict(
         probes=[["/a/d", "/a/e"], ["/a/d/f", "/a/e/f"]],
@@ -688,6 +750,11 @@ RENAME_READS = {
     "rename-split-dir": dict(
         probes=[["/a", "/c"], ["/a/f", "/c/f"], ["/a/g", "/c/g"],
                 ["/a/h", "/c/h"], ["/a/i", "/c/i"]],
+        listings={},
+    ),
+    "rename-rehomed-dir": dict(
+        probes=[["/a", "/c"], ["/a/f", "/c/f"], ["/a/g", "/c/g"],
+                ["/a/h", "/c/h"]],
         listings={},
     ),
 }
@@ -967,8 +1034,8 @@ def test_peers_refuse_stale_epoch_rpcs():
             host.shards[0].rename_install(
                 "/a/z", None, {"vino": 7, "home": 1}, host.sim.now,
                 "s1.99", (1, stale)),
-            host.shards[0].mirror_override("/a", 1, host.sim.now,
-                                           (1, stale)),
+            host.shards[0].mirror_route("/a", 1, [1], host.sim.now,
+                                        (1, stale)),
         ):
             try:
                 yield from call

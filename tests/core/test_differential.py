@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sharding import HashDirSharding, SubtreeSharding
+from repro.core.shard import HashDirSharding, SubtreeSharding
 from repro.pfs import FsError, OpenFlags
 from tests.core.conftest import MountedCofs, ShardedCofs
 from tests.pfs.conftest import MountedPfs

@@ -84,7 +84,7 @@ def test_bucket_counters_survive_crash(cofsx, cfs):
 # ---------------------------------------------------------------------------
 
 from repro.core.faults import check_tier_invariants, skeleton_view
-from repro.core.sharding import SubtreeSharding, recover_tier
+from repro.core.shard import SubtreeSharding, recover_tier
 from tests.core.conftest import ShardedCofs
 
 

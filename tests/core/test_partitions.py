@@ -11,11 +11,10 @@ oracle.
 
 import pytest
 
-from repro.core.faults import check_tier_invariants
-from repro.core.shard import Rebalancer
+from repro.core.faults import check_tier_invariants, namespace_image
+from repro.core.shard import HashDirSharding, Rebalancer, SubtreeSharding
 from repro.core.shard.recovery import recover_tier
 from repro.core.shard.routing import entry_slot
-from repro.core.sharding import HashDirSharding, SubtreeSharding
 from repro.pfs.errors import FsError
 from tests.core.conftest import MountedCofs, ShardedCofs
 from tests.core.test_differential import apply_ops, observe
@@ -73,9 +72,7 @@ def test_split_spreads_entries_and_is_transparent(split2):
     assert host.file_vinos(0) and host.file_vinos(1)
     # ... the row is durable everywhere and routing consults it ...
     for shard in host.shards:
-        rows = {r["path"]: tuple(r["shards"])
-                for r in shard.db.table("partitions").all()}
-        assert rows == {"/a": (0, 1)}
+        assert host.route_rows(shard.shard_id) == {"/a": (0, (0, 1))}
     assert host.stack.sharding.entry_shards("/a", 2) == (0, 1)
     for name in NAMES:
         assert host.stack.sharding.shard_of_entry("/a", name, 2) == \
@@ -131,9 +128,7 @@ def test_merge_brings_the_population_home(split2):
     # The one-element row survives (dropping it could resurrect a stale
     # fanout through the restore union) and routes like no row at all.
     for shard in host.shards:
-        rows = {r["path"]: tuple(r["shards"])
-                for r in shard.db.table("partitions").all()}
-        assert rows == {"/a": (0,)}
+        assert host.route_rows(shard.shard_id) == {"/a": (0, (0,))}
     assert host.stack.sharding.entry_shards("/a", 2) == (0,)
     assert _observe(host) == before
     check_tier_invariants(host.shards, host.stack.sharding)
@@ -194,9 +189,9 @@ def test_partitions_survive_tier_recovery(split2):
     host.run(host.shards[0].split_dir("/a", [0, 1], host.sim.now))
     before = _observe(host)
     # Poison the in-memory map to prove recovery restores it durably.
-    host.stack.sharding.partitions.clear()
+    host.stack.sharding.routes.clear()
     host.run(recover_tier(host.shards))
-    assert host.stack.sharding.partitions == {"/a": (0, 1)}
+    assert host.stack.sharding.routes == {"/a": (0, (0, 1))}
     assert _observe(host) == before
     check_tier_invariants(host.shards, host.stack.sharding)
 
@@ -228,15 +223,15 @@ def test_rmdir_forgets_the_directorys_partitions():
 
     host.run(drop_and_recreate())
     for shard in host.shards:
-        assert not shard.db.table("partitions").all()
-    assert "/a" not in host.stack.sharding.partitions
+        assert not shard.db.table("routes").all()
+    assert "/a" not in host.stack.sharding.routes
     assert host.stack.sharding.entry_shards("/a", 2) == (0,)
     check_tier_invariants(host.shards, host.stack.sharding)
 
 
 def test_rename_rekeys_partition_rows():
-    """Renaming a split directory (or an ancestor of one) re-keys the
-    partition rows — durably, on every shard, atomically with the rename
+    """Renaming a split directory (or an ancestor of one) re-keys its
+    routing row — durably, on every shard, atomically with the rename
     — and moves not a single entry (placement hashes only names)."""
     host = ShardedCofs(n_clients=1, shards=2, sharding=HashDirSharding())
 
@@ -259,10 +254,10 @@ def test_rename_rekeys_partition_rows():
 
     host.run(rename_ancestor())
     for shard in host.shards:
-        rows = {r["path"]: tuple(r["shards"])
-                for r in shard.db.table("partitions").all()}
-        assert rows == {"/moved/hot": (0, 1)}, (shard.shard_id, rows)
-    assert host.stack.sharding.partitions == {"/moved/hot": (0, 1)}
+        rows = host.route_rows(shard.shard_id)
+        assert rows == {"/moved/hot": (owner, (0, 1))}, (
+            shard.shard_id, rows)
+    assert host.stack.sharding.routes == {"/moved/hot": (owner, (0, 1))}
     # No entry moved: the per-shard row counts are unchanged.
     assert [len(host.file_vinos(s)) for s in range(2)] == spread
 
@@ -303,9 +298,13 @@ def test_readdir_lists_a_dual_resident_entry_exactly_once(split2):
     names = host.run(host.mounts[0].readdir("/a"))
     assert names == sorted(NAMES)  # exactly once each
 
-    # The authoritative-owner walk the invariant oracle performs agrees.
-    image = check_tier_invariants(host.shards, host.stack.sharding)
+    # The authoritative-owner walk the invariant oracle performs agrees,
+    # and the oracle flags the planted copy: routing never reaches
+    # shard 1 for this name, so a quiesced tier must not hold it.
+    image = namespace_image(host.shards, host.stack.sharding)
     assert sum(1 for path in image if path == f"/a/{victim}") == 1
+    with pytest.raises(AssertionError, match="stranded file inode"):
+        check_tier_invariants(host.shards, host.stack.sharding)
     # Clean up the planted copy so the tier ends pristine.
     host.run(host.shards[1].purge_dir_children(
         dentry["parent"], [dentry["key"]], [inode["vino"]],
@@ -372,35 +371,51 @@ def test_split_dir_semantics_match_single_shard_oracle():
 
 
 def test_split_merge_churn_matches_single_shard_oracle():
-    """Split → ops → merge → ops → re-split → ops: the client-visible
-    trace must match the 1-shard oracle across the whole churn."""
+    """Split → ops → merge → re-home → ops → rename → ops → forget →
+    re-split → ops: the client-visible trace must match the 1-shard
+    oracle across the whole churn of routing changes."""
     seed = [("mkdir", "a", None), ("mkdir", "b", None)] + [
         ("create", f"a/f{i}", b"p") for i in range(8)]
     phase2 = [("rename", (f"a/f{i}", f"a/g{i}"), None) for i in range(4)]
-    phase3 = [("unlink", f"a/g{i}", None) for i in range(4)] + [
-        ("create", "a/last", b"")]
+    homed = [("create", "a/homed", b"h")]
+    renamed = [("rename", ("a", "c"), None), ("create", "c/renamed", b""),
+               ("unlink", "c/homed", None)]
+    phase3 = [("unlink", f"c/g{i}", None) for i in range(4)] + [
+        ("create", "c/last", b"")]
+    phases = (seed, phase2, homed, renamed, phase3)
 
     reference = MountedCofs(1)
-    ref_out = reference.run(apply_ops(reference.mounts[0], seed))
-    ref_out += reference.run(apply_ops(reference.mounts[0], phase2))
-    ref_out += reference.run(apply_ops(reference.mounts[0], phase3))
+    ref_out = []
+    for ops in phases:
+        ref_out += reference.run(apply_ops(reference.mounts[0], ops))
     ref_state = reference.run(observe(reference.mounts[0]))
 
     for host in _split_hosts():
         n = len(host.shards)
-        owner = host.stack.sharding.shard_of_dir("/a", n)
+        sharding = host.stack.sharding
+        coord = host.shards[0]  # every routing call self-forwards
+        owner = sharding.shard_of_dir("/a", n)
         outcomes = host.run(apply_ops(host.mounts[0], seed))
-        host.run(host.shards[owner].split_dir(
-            "/a", list(range(n)), host.sim.now))
+        host.run(coord.split_dir("/a", list(range(n)), host.sim.now))
         outcomes += host.run(apply_ops(host.mounts[0], phase2))
-        host.run(host.shards[owner].merge_dir("/a", host.sim.now))
-        host.run(host.shards[owner].split_dir(
-            "/a", list(reversed(range(n))), host.sim.now))
+        host.run(coord.merge_dir("/a", host.sim.now))
+        home = (owner + 1) % n
+        assert host.run(host.shards[owner].rebalance_dir(
+            "/a", home, host.sim.now))
+        outcomes += host.run(apply_ops(host.mounts[0], homed))
+        outcomes += host.run(apply_ops(host.mounts[0], renamed))
+        assert sharding.routes == {"/c": (home, (home,))}
+        static = sharding.static_shard_of_dir("/c", n)
+        assert host.run(coord.forget_override("/c", host.sim.now)) is \
+            (static != home)
+        assert sharding.routes == {"/c": (static, (static,))}
+        host.run(coord.split_dir(
+            "/c", list(reversed(range(n))), host.sim.now))
         outcomes += host.run(apply_ops(host.mounts[0], phase3))
-        label = (n, type(host.stack.sharding).__name__)
+        label = (n, type(sharding).__name__)
         assert outcomes == ref_out, label
         assert host.run(observe(host.mounts[0])) == ref_state, label
-        check_tier_invariants(host.shards, host.stack.sharding)
+        check_tier_invariants(host.shards, sharding)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +447,7 @@ def test_rebalancer_splits_a_one_directory_hotspot():
         host.stack.routers, host.shards, split_threshold=1.0)
     executed = host.run(rebalancer.rebalance())
     assert ("/hot", 0, (0, 1, 2, 3)) in executed
-    assert host.stack.sharding.partitions["/hot"] == (0, 1, 2, 3)
+    assert host.stack.sharding.routes["/hot"] == (0, (0, 1, 2, 3))
     # The split directory's load now spreads; no move is planned for it.
     assert rebalancer.plan() == []
     check_tier_invariants(host.shards, host.stack.sharding)
@@ -449,11 +464,11 @@ def test_rebalancer_merge_hysteresis():
         host.stack.routers, host.shards,
         split_threshold=1.0, merge_threshold=0.25)
     host.run(rebalancer.rebalance())
-    assert host.stack.sharding.partitions["/hot"] == (0, 1)
+    assert host.stack.sharding.routes["/hot"] == (0, (0, 1))
     # Warm (decayed once, still well above merge_threshold): no merge.
     assert rebalancer.plan_splits() == []
     host.run(rebalancer.rebalance())
-    assert host.stack.sharding.partitions["/hot"] == (0, 1)
+    assert host.stack.sharding.routes["/hot"] == (0, (0, 1))
     # Fully cooled: the next round merges it back.
     for router in host.stack.routers:
         for _ in range(12):
@@ -478,7 +493,7 @@ def test_run_periodic_drives_continuous_rebalancing():
     t0 = host.sim.now
     host.run(rebalancer.run_periodic(host.sim, 50.0, rounds=1))
     assert host.sim.now >= t0 + 50.0
-    assert host.stack.sharding.partitions["/hot"] == (0, 1)
+    assert host.stack.sharding.routes["/hot"] == (0, (0, 1))
     # Idle rounds decay the counters until the merge side of the
     # hysteresis band triggers; the loop needs no external help.
     host.run(rebalancer.run_periodic(host.sim, 50.0, rounds=12))

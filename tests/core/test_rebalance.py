@@ -1,7 +1,8 @@
-"""Online load-aware re-partitioning: overrides, migration, the planner."""
+"""Online load-aware re-partitioning: re-homing, migration, the planner."""
 
 import pytest
 
+from repro.core.faults import check_tier_invariants
 from repro.core.shard import HashDirSharding, Rebalancer, SubtreeSharding
 from repro.core.shard.recovery import recover_tier
 from repro.pfs.errors import FsError
@@ -53,11 +54,9 @@ def test_rebalance_moves_population_and_is_transparent(split2):
     # The rows physically moved to shard 1 ...
     assert host.file_vinos(0) == set()
     assert host.file_vinos(1) >= file_vinos_src
-    # ... the override is durable everywhere and routing follows it ...
+    # ... the routing row is durable everywhere and routing follows it ...
     for shard in host.shards:
-        rows = {r["path"]: r["shard"]
-                for r in shard.db.table("overrides").all()}
-        assert rows == {"/a": 1}
+        assert host.route_rows(shard.shard_id) == {"/a": (1, (1,))}
     assert host.stack.sharding.shard_of_dir("/a", 2) == 1
     # ... and nothing observable changed.
     assert _observe(host) == before
@@ -125,9 +124,9 @@ def test_overrides_survive_tier_recovery(split2):
     host.run(host.shards[0].rebalance_dir("/a", 1, host.sim.now))
     before = _observe(host)
     # Poison the in-memory map to prove recovery restores it durably.
-    host.stack.sharding.overrides.clear()
+    host.stack.sharding.routes.clear()
     host.run(recover_tier(host.shards))
-    assert host.stack.sharding.overrides == {"/a": 1}
+    assert host.stack.sharding.routes == {"/a": (1, (1,))}
     assert _observe(host) == before
 
 
@@ -198,9 +197,9 @@ def test_rebalancer_plan_is_deterministic_and_bounded():
 
 
 def test_rmdir_forgets_the_directorys_override(split2):
-    """Closing the stickiness item: an override dies with its directory.
-    A recreated directory at the same path routes by the static rule
-    again — no surprise placement inherited from a dead namespace."""
+    """A routing row dies with its directory: a recreated directory at
+    the same path routes by the static rule again — no surprise
+    placement inherited from a dead namespace."""
     host = split2
     host.run(host.shards[0].rebalance_dir("/a", 1, host.sim.now))
     assert host.stack.sharding.shard_of_dir("/a", 2) == 1
@@ -215,21 +214,20 @@ def test_rmdir_forgets_the_directorys_override(split2):
         yield from fs.close(fh)
 
     host.run(drop_and_recreate())
-    # The override row is gone on every shard, in memory, and routing is
+    # The routing row is gone on every shard, in memory, and routing is
     # back to the static rule: the fresh file's row lives on shard 0.
     for shard in host.shards:
-        assert not shard.db.table("overrides").all()
-    assert "/a" not in host.stack.sharding.overrides
+        assert not shard.db.table("routes").all()
+    assert "/a" not in host.stack.sharding.routes
     assert host.stack.sharding.shard_of_dir("/a", 2) == 0
     assert len(host.file_vinos(0)) == 1
     assert host.file_vinos(1) == set()
-    from repro.core.faults import check_tier_invariants
     check_tier_invariants(host.shards, host.stack.sharding)
 
 
 def test_forget_override_admin_entry_point(split2):
     """The admin-facing forget: the population migrates back to the
-    static owner and the override is durably dropped everywhere, while
+    static owner and the routing row durably names it everywhere, while
     the directory stays fully usable."""
     host = split2
     before = _observe(host)
@@ -240,14 +238,16 @@ def test_forget_override_admin_entry_point(split2):
     # Any shard accepts the admin call (it self-forwards to the owner).
     host.run(host.shards[0].forget_override("/a", host.sim.now))
 
+    # Like a merge, a forget keeps a one-element row (pointing at the
+    # static owner): a dropped row could resurrect from a stale peer
+    # through the restore union.
     for shard in host.shards:
-        assert not shard.db.table("overrides").all()
-    assert "/a" not in host.stack.sharding.overrides
+        assert host.route_rows(shard.shard_id) == {"/a": (0, (0,))}
+    assert host.stack.sharding.routes == {"/a": (0, (0,))}
     # The population came home and nothing observable changed.
     assert len(host.file_vinos(0)) == 3
     assert host.file_vinos(1) == set()
     assert _observe(host) == before
-    from repro.core.faults import check_tier_invariants
     check_tier_invariants(host.shards, host.stack.sharding)
     # Forgetting again is a no-op.
     assert host.run(
@@ -256,10 +256,9 @@ def test_forget_override_admin_entry_point(split2):
 
 def test_forget_override_survives_crash_at_every_boundary(split2):
     """The forget protocol is crash-redoable: its intent rolls the
-    migration-home and the tier-wide row drop forward from any gap."""
+    migration-home and the tier-wide row rewrite forward from any gap."""
     from repro.core.faults import (
-        CrashInjected, CrashSchedule, arm_shards, check_tier_invariants,
-        disarm_shards,
+        CrashInjected, CrashSchedule, arm_shards, disarm_shards,
     )
 
     def build():
@@ -302,17 +301,16 @@ def test_forget_override_survives_crash_at_every_boundary(split2):
         disarm_shards(host.shards)
         host.run(recover_tier(host.shards))
         observed = check_tier_invariants(host.shards, host.stack.sharding)
-        # Either the forget never started (override intact) or it rolled
-        # forward completely (override gone, population home) — never a
-        # half state.
-        rows = {tuple(sorted((r["path"], r["shard"])
-                for r in shard.db.table("overrides").all()))
+        # Either the forget never started (re-homed row intact) or it
+        # rolled forward completely (row names the static owner,
+        # population home) — never a half state.
+        rows = {tuple(sorted(host.route_rows(shard.shard_id).items()))
                 for shard in host.shards}
         assert len(rows) == 1  # identical tables either way
-        if host.stack.sharding.overrides:
-            assert host.stack.sharding.overrides == {"/a": 1}
+        if host.stack.sharding.routes == {"/a": (1, (1,))}:
             assert len(host.file_vinos(1)) == 3
         else:
+            assert host.stack.sharding.routes == {"/a": (0, (0,))}
             assert len(host.file_vinos(0)) == 3
         assert {p for p in observed} >= {"/a/f", "/a/g", "/a/h"}
 
@@ -320,27 +318,182 @@ def test_forget_override_survives_crash_at_every_boundary(split2):
 def test_mirror_rmdir_refusal_still_drops_override_row(split2):
     """Even when the replay refuses the removal (entries appeared here
     since the coordinator's emptiness check — the documented divergence
-    window), the override row is dropped: the coordinator's commit is
-    the authoritative removal, and a kept row would diverge the override
+    window), the routing row is dropped: the coordinator's commit is
+    the authoritative removal, and a kept row would diverge the routing
     tables and be resurrected tier-wide by the next restore."""
     host = split2
     host.run(host.shards[0].rebalance_dir("/a", 1, host.sim.now))
     result = host.run(host.shards[1].mirror_rmdir("/a", host.sim.now))
     assert result is False  # refused: /a's population lives here
-    assert not host.shards[1].db.table("overrides").all()
+    assert not host.shards[1].db.table("routes").all()
 
 
 def test_forget_override_respects_newer_seq(split2):
-    """A forget replaying late (redo after a fence) must not destroy an
-    override a *later* re-homing installed — same newest-seq-wins rule
-    as mirror_override, or the newer override's migrated population
-    would be stranded behind static-rule routing."""
+    """A forget replaying late (redo after a fence) must not overwrite
+    the row a *later* re-homing installed — newest-seq-wins, or the
+    newer re-homing's migrated population would be stranded behind
+    static-rule routing."""
     host = split2
     host.run(host.shards[0].rebalance_dir("/a", 1, host.sim.now))
-    seq = host.shards[0].db.table("overrides").all()[0]["seq"]
+    seq = host.shards[0].db.table("routes").all()[0]["seq"]
     result = host.run(
-        host.shards[0].mirror_forget_override("/a", seq - 1.0))
+        host.shards[0].mirror_route("/a", 0, [0], seq - 1.0))
     assert result is False
-    assert host.stack.sharding.overrides == {"/a": 1}
-    rows = host.shards[0].db.table("overrides").all()
-    assert rows and rows[0]["shard"] == 1
+    assert host.stack.sharding.routes == {"/a": (1, (1,))}
+    assert host.route_rows(0) == {"/a": (1, (1,))}
+
+
+@pytest.fixture
+def twelve():
+    """Two shards, /a and /b statically assigned, 12 files in /a."""
+    host = ShardedCofs(sharding=SubtreeSharding({"/a": 0, "/b": 1}))
+
+    def setup():
+        fs = host.mounts[0]
+        yield from fs.mkdir("/a")
+        yield from fs.mkdir("/b")
+        for index in range(12):
+            fh = yield from fs.create(f"/a/f{index}")
+            yield from fs.close(fh)
+
+    host.run(setup())
+    return host
+
+
+def test_forget_override_refuses_a_split_directory(twelve):
+    """Forgetting the home of a re-homed-then-split directory is
+    refused (EINVAL), exactly as re-homing a split directory is: its
+    entries have no single source.  Moving only the coordinator's
+    partition to the static owner while the split row still routes
+    those names to the old home would strand them — stat answering
+    ENOENT for entries readdir still lists."""
+    host = twelve
+    before = _observe(host)
+    host.run(host.shards[0].rebalance_dir("/a", 1, host.sim.now))
+    host.run(host.shards[0].split_dir("/a", [0, 1], host.sim.now))
+    with pytest.raises(FsError) as err:
+        host.run(host.shards[0].forget_override("/a", host.sim.now))
+    assert err.value.code == "EINVAL"
+    # The split survives intact, owned by its re-homed owner.
+    assert host.stack.sharding.routes == {"/a": (1, (0, 1))}
+    assert _observe(host) == before
+    check_tier_invariants(host.shards, host.stack.sharding)
+
+
+def test_merged_directory_can_be_rehomed():
+    """A merge leaves a one-element row, and a row is split only when
+    its fanout names more than one shard: the merged directory is
+    re-homable, and the planner proposes it when it is hot."""
+    host = ShardedCofs(n_clients=1, shards=2,
+                       sharding=SubtreeSharding({}, default=0))
+
+    def setup():
+        fs = host.mounts[0]
+        yield from fs.mkdir("/hot")
+        yield from fs.mkdir("/cold")
+        for index in range(8):
+            fh = yield from fs.create(f"/hot/f{index}")
+            yield from fs.close(fh)
+
+    def heat():
+        fs = host.mounts[0]
+        for index in range(8):
+            yield from fs.stat(f"/hot/f{index}")
+            yield from fs.stat(f"/hot/f{index}")
+        yield from fs.stat("/cold")
+
+    host.run(setup())
+    before = _observe(host)
+    host.run(host.shards[0].split_dir("/hot", [0, 1], host.sim.now))
+    host.run(host.shards[0].merge_dir("/hot", host.sim.now))
+    assert host.stack.sharding.routes == {"/hot": (0, (0,))}
+    # The planner proposes the hot merged directory ...
+    for router in host.stack.routers:
+        router.reset_loads()
+    host.run(heat())
+    rebalancer = Rebalancer(host.stack.routers, host.shards)
+    assert rebalancer.plan() == [("/hot", 0, 1)]
+    # ... and re-homing it succeeds: routing follows the move.
+    assert host.run(host.shards[0].rebalance_dir("/hot", 1, host.sim.now))
+    assert host.stack.sharding.routes == {"/hot": (1, (1,))}
+    assert host.stack.sharding.shard_of_dir("/hot", 2) == 1
+    assert len(host.file_vinos(1)) == 8
+    assert host.file_vinos(0) == set()
+    assert _observe(host) == before
+    check_tier_invariants(host.shards, host.stack.sharding)
+
+
+def test_rename_carries_a_rehomed_directorys_route(twelve):
+    """The routing row re-keys with a rename: the renamed re-homed
+    directory keeps its home (its population does not move), and a
+    directory later created at the old name routes by the static rule
+    instead of inheriting the stale home."""
+    host = twelve
+    host.run(host.shards[0].rebalance_dir("/a", 1, host.sim.now))
+
+    def rename_and_recreate():
+        fs = host.mounts[0]
+        yield from fs.rename("/a", "/c")
+        yield from fs.mkdir("/a")
+        fh = yield from fs.create("/a/fresh")
+        yield from fs.close(fh)
+        return (yield from fs.readdir("/c"))
+
+    names = host.run(rename_and_recreate())
+    assert names == sorted(f"f{index}" for index in range(12))
+    assert host.stack.sharding.routes == {"/c": (1, (1,))}
+    for shard in host.shards:
+        assert host.route_rows(shard.shard_id) == {"/c": (1, (1,))}
+    # The population stayed home on shard 1; the recreated /a routes by
+    # the static rule (shard 0).
+    assert len(host.file_vinos(1)) == 12
+    assert len(host.file_vinos(0)) == 1
+    assert host.stack.sharding.shard_of_dir("/a", 2) == 0
+    check_tier_invariants(host.shards, host.stack.sharding)
+
+
+@pytest.mark.parametrize("flavour", ["rehomed", "forgotten", "split"])
+def test_rename_over_an_empty_routed_directory_drops_its_row(flavour):
+    """A rename over an empty routed directory replaces it, so the
+    replaced directory's row dies with it, as on rmdir: the moved
+    population lands on the static owner of its new name, exactly once.
+    A surviving row made the migration skip the destination, leaving
+    the originals on their old shard (a re-homed or forgotten row) or
+    the staged copies where the name hash never looks (a split row)."""
+    host = ShardedCofs(sharding=SubtreeSharding({"/a": 0, "/b": 1}))
+    fs = host.mounts[0]
+    target = "/b/d" if flavour == "forgotten" else "/d"
+    names = [f"f{index}" for index in range(8)]
+
+    def setup():
+        yield from fs.mkdir("/b")
+        yield from fs.mkdir(target)
+        yield from fs.mkdir("/x")
+        for name in names:
+            fh = yield from fs.create(f"/x/{name}")
+            yield from fs.close(fh)
+
+    host.run(setup())
+    static = host.stack.sharding.static_shard_of_dir(target, 2)
+    if flavour == "split":
+        host.run(host.shards[0].split_dir(target, [0, 1], host.sim.now))
+    else:
+        host.run(host.shards[static].rebalance_dir(
+            target, 1 - static, host.sim.now))
+    if flavour == "forgotten":
+        assert host.run(host.shards[0].forget_override(target, host.sim.now))
+    assert target in host.stack.sharding.routes
+
+    def rename_and_read():
+        yield from fs.rename("/x", target)
+        for name in names:
+            yield from fs.stat(f"{target}/{name}")
+        return (yield from fs.readdir(target))
+
+    assert host.run(rename_and_read()) == names
+    assert host.stack.sharding.routes == {}
+    for shard in host.shards:
+        assert host.route_rows(shard.shard_id) == {}
+    assert len(host.file_vinos(static)) == len(names)
+    assert host.file_vinos(1 - static) == set()
+    check_tier_invariants(host.shards, host.stack.sharding)

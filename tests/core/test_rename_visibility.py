@@ -12,8 +12,8 @@ history instead of a per-shard free-for-all.
 import pytest
 
 from repro.core.faults import check_tier_invariants
+from repro.core.shard import HashDirSharding, SubtreeSharding
 from repro.core.shard.routing import entry_slot
-from repro.core.sharding import HashDirSharding, SubtreeSharding
 from repro.pfs.errors import FsError
 from repro.pfs.types import FILE
 from tests.core.conftest import ShardedCofs

@@ -19,8 +19,8 @@ from repro.core.faults import (
     kill_primary,
     revive_member,
 )
+from repro.core.shard import SubtreeSharding
 from repro.core.shard.routing import EpochFenced
-from repro.core.sharding import SubtreeSharding
 from repro.pfs.errors import FsError
 from tests.core.conftest import ShardedCofs
 

@@ -1,7 +1,7 @@
 """The underlying-object scrubber: orphan detection and reclamation."""
 
 from repro.core.scrub import run_scrub
-from repro.core.sharding import SubtreeSharding
+from repro.core.shard import SubtreeSharding
 from tests.core.conftest import ShardedCofs
 
 
@@ -107,7 +107,7 @@ def test_scrub_never_reclaims_object_mid_rebalance_migration():
         CrashInjected, CrashSchedule, arm_shards, check_tier_invariants,
         disarm_shards,
     )
-    from repro.core.sharding import recover_tier
+    from repro.core.shard import recover_tier
 
     def build():
         host = ShardedCofs(

@@ -5,7 +5,7 @@ import pytest
 from repro.bench import build_flat_testbed
 from repro.bench.stack import CofsStack
 from repro.core.metaservice import MetadataService
-from repro.core.sharding import (
+from repro.core.shard import (
     HashDirSharding,
     ShardMetadataService,
     SubtreeSharding,

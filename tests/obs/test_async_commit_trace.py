@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core.config import CofsConfig
-from repro.core.sharding import SubtreeSharding
+from repro.core.shard import SubtreeSharding
 from repro.obs.trace import Span
 from repro.pfs.errors import FsError
 from tests.core.conftest import ShardedCofs

@@ -8,7 +8,7 @@ spans must nest under the op that triggered them).
 """
 
 from repro import obs
-from repro.core.sharding import SubtreeSharding
+from repro.core.shard import SubtreeSharding
 from repro.sim import Simulator
 from tests.core.conftest import ShardedCofs
 

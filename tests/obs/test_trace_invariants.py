@@ -9,7 +9,7 @@ the checker accepts.
 import pytest
 
 from repro import obs
-from repro.core.sharding import SubtreeSharding
+from repro.core.shard import SubtreeSharding
 from repro.obs.trace import Span
 from tests.core.conftest import ShardedCofs
 
