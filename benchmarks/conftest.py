@@ -1,7 +1,8 @@
 """Benchmark-suite configuration.
 
-Every benchmark regenerates one figure/table of the paper (see DESIGN.md §5)
-and asserts its qualitative shape: who wins, roughly by how much, where the
+Every benchmark regenerates one figure/table of the paper (the experiment
+index is ``repro.bench.experiments.EXPERIMENTS``) at its default grid and
+asserts its qualitative shape: who wins, roughly by how much, where the
 cliffs fall.  Simulated experiments are deterministic, so each benchmark
 runs a single round (`pedantic(rounds=1)`); the pytest-benchmark timing
 shows the wall cost of regenerating the figure.

@@ -19,8 +19,8 @@ def test_fig4(benchmark):
         assert r[("cofs", 4, fpn)] < 8, fpn
         assert r[("cofs", 8, fpn)] < r[("cofs", 4, fpn)] * 1.6, fpn
         # Headline: a substantial speedup (paper: 5-10x), growing with N.
-        # At 32 files/node COFS's one-time bucket mkdirs are poorly
-        # amortized (see EXPERIMENTS.md), so the bar is lower there.
+        # At 32 files/node COFS's one-time bucket mkdirs are amortized
+        # over few creates, so the bar is lower there.
         floor_4n = 2 if fpn <= 32 else 3
         floor_8n = 4 if fpn <= 32 else 5
         assert r[("pfs", 4, fpn)] / r[("cofs", 4, fpn)] > floor_4n, fpn

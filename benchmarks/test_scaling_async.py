@@ -14,7 +14,7 @@ from repro.bench.experiments import run_scaling_async
 
 def test_scaling_async(benchmark):
     out = benchmark.pedantic(
-        lambda: run_scaling_async(print_report=True, shard_counts=(1, 2, 4)),
+        lambda: run_scaling_async(print_report=True),
         rounds=1, iterations=1,
     )
     r = out["results"]

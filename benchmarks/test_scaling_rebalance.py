@@ -11,8 +11,7 @@ from repro.bench.experiments import run_scaling_rebalance
 
 def test_scaling_rebalance(benchmark):
     out = benchmark.pedantic(
-        lambda: run_scaling_rebalance(
-            print_report=True, shard_counts=(1, 2, 4)),
+        lambda: run_scaling_rebalance(print_report=True),
         rounds=1, iterations=1,
     )
     r = out["results"]

@@ -11,7 +11,7 @@ from repro.bench.experiments import run_scaling_split
 
 def test_scaling_split(benchmark):
     out = benchmark.pedantic(
-        lambda: run_scaling_split(print_report=True, shard_counts=(1, 2, 4)),
+        lambda: run_scaling_split(print_report=True),
         rounds=1, iterations=1,
     )
     r = out["results"]

@@ -31,8 +31,7 @@ def test_table1(benchmark):
         w("separate", "seq", 1, big, "pfs")
     # ...but the relative COFS/GPFS ratio improves as nodes come in (the
     # paper saw an outright reversal; our 64 MB page pool absorbs much of
-    # the open stagger at these sizes, so the trend is softer — see
-    # EXPERIMENTS.md deviation 5).
+    # the open stagger at these sizes, so the trend is softer).
     ratio_4n = w("separate", "seq", 4, small, "cofs") / \
         w("separate", "seq", 4, small, "pfs")
     ratio_8n = w("separate", "seq", 8, small, "cofs") / \

@@ -72,11 +72,11 @@ def main(argv=None):
             if args.experiment not in QUICK_EXPERIMENTS:
                 parser.error(
                     f"no quick variant of {args.experiment!r}; choose from "
-                    f"{', '.join(sorted(QUICK_EXPERIMENTS))}"
+                    f"{', '.join(QUICK_EXPERIMENTS)}"
                 )
             names = [args.experiment]
         else:
-            names = sorted(QUICK_EXPERIMENTS)
+            names = QUICK_EXPERIMENTS
         run = run_quick(names=names, label=args.label, obs_dir=args.obs)
         if not args.no_gate:
             reference = latest_reference()
@@ -96,7 +96,8 @@ def main(argv=None):
     for name in names:
         start = time.time()
         print(f"=== {name} ===")
-        EXPERIMENTS[name](full=args.full, print_report=True)
+        EXPERIMENTS[name](scale="full" if args.full else "default",
+                          print_report=True)
         print(f"({name} took {time.time() - start:.1f}s wall)\n")
     return 0
 

@@ -1,17 +1,19 @@
-"""Experiment runners — one per figure/table of the paper.
+"""Experiment runners — one per figure/table of the paper, plus the
+scaling sweeps beyond it.
 
 Every function builds fresh testbeds, drives the matching workload and
 returns a structured result dict; ``print_report=True`` also prints the
-series/table in the paper's layout.  See DESIGN.md §5 for the experiment
-index and EXPERIMENTS.md for measured-vs-paper numbers.
+series/table in the paper's layout.
 
-Scope control: the full paper sweeps (up to 8192 files per node, 4 GB IOR
-aggregates) take several minutes of wall time; by default the runners use a
-log-spaced subset that exhibits every effect, and ``full=True`` (or the
-REPRO_FULL=1 environment variable) restores the complete grids.
+Scope control: each experiment reads its grid from :data:`GRIDS` at one
+of three scales.  ``default`` is a log-spaced subset that exhibits every
+effect (the benchmarks run it); ``full`` restores the paper's complete
+sweeps (up to 8192 files per node, 4 GB IOR aggregates), which take
+several minutes of wall time; ``quick`` is the quick bench's smoke run.
+The REPRO_FULL=1 environment variable promotes ``default`` to ``full``.
 """
 
-import dataclasses
+import itertools
 import os
 
 from repro import obs
@@ -19,8 +21,11 @@ from repro.bench.report import format_series, format_table
 from repro.bench.stack import CofsStack, PfsStack
 from repro.bench.testbed import build_flat_testbed, build_hier_testbed
 from repro.core.config import CofsConfig
+from repro.core.faults import (
+    check_group_invariants, check_tier_invariants, kill_primary,
+)
 from repro.core.placement import HashPlacementPolicy, IdentityPlacementPolicy
-from repro.core.shard import SubtreeSharding
+from repro.core.shard import Rebalancer, SubtreeSharding
 from repro.db.service import DbConfig
 from repro.units import GB, MB
 from repro.workloads.ior import IorConfig, run_ior
@@ -29,48 +34,167 @@ from repro.workloads.traces import TraceConfig, run_trace
 
 OPS = ("create", "stat", "utime", "open")
 
+_SWEEP = dict(
+    quick=dict(nodes=(4,), files_per_node=(32, 128)),
+    default=dict(nodes=(4, 8), files_per_node=(32, 128, 512, 2048)),
+    full=dict(nodes=(4, 8), files_per_node=(32, 128, 512, 2048, 8192)))
+# mdcreate runs last: the earlier phases' timings are untouched, so the
+# create/stat/utime/mix columns match the runs without it.
+_MDS_OPS = ("create", "stat", "utime", "mdcreate")
+_IOR = dict(targets=("separate", "shared"), patterns=("seq", "random"),
+            nodes=(1, 4, 8))
+#: the ablations have no quick grid, so the quick bench skips them
+_ABLATION = dict(default=dict(files_per_node=256),
+                 full=dict(files_per_node=512))
 
-def _full(full):
-    return full or os.environ.get("REPRO_FULL") == "1"
+#: The run table: experiment -> scale -> grid.  The quick bench runs
+#: every experiment that has a ``quick`` grid and gates its summed
+#: clocks against the committed ``BENCH_PR<n>.json``, so a quick grid
+#: only changes together with a new baseline.
+GRIDS = {
+    "fig1": dict(
+        quick=dict(sizes=(128, 512)),
+        default=dict(sizes=(128, 512, 1024, 2048)),
+        full=dict(sizes=(128, 256, 512, 1024, 1536, 2048, 2560))),
+    "fig2": dict(
+        quick=dict(totals=(1024,)),
+        default=dict(totals=(1024, 4096)),
+        full=dict(totals=(1024, 4096, 16384))),
+    "fig4": _SWEEP,
+    "fig5": _SWEEP,
+    "fig5b": dict(
+        quick=dict(_SWEEP["quick"], ops=("utime",)),
+        default=dict(_SWEEP["default"], ops=("utime", "open")),
+        full=dict(_SWEEP["full"], ops=("utime", "open"))),
+    "fig6": dict(
+        quick=dict(nodes=8, files_per_node=64),
+        default=dict(nodes=32, files_per_node=256),
+        full=dict(nodes=64, files_per_node=256)),
+    "table1": dict(
+        quick=dict(targets=("separate",), patterns=("seq",), nodes=(2,),
+                   sizes=(64 * MB,)),
+        default=dict(_IOR, sizes=(256 * MB, 1 * GB)),
+        full=dict(_IOR, sizes=(256 * MB, 1 * GB, 4 * GB))),
+    "ablation-placement": _ABLATION,
+    "ablation-mds": _ABLATION,
+    "scaling-mds": dict(
+        quick=dict(shards=(1, 2), nodes=4, procs_per_node=1,
+                   files_per_proc=32, ops=("create", "stat", "utime"),
+                   trace_ms=None),
+        default=dict(shards=(1, 2, 4), nodes=8, procs_per_node=2,
+                     files_per_proc=32, ops=_MDS_OPS, trace_ms=2000.0),
+        full=dict(shards=(1, 2, 4, 8), nodes=16, procs_per_node=2,
+                  files_per_proc=64, ops=_MDS_OPS, trace_ms=4000.0)),
+    "scaling-rebalance": dict(
+        quick=dict(shards=(1, 3), nodes=4, dirs_per_proc=16,
+                   files_per_proc=32),
+        default=dict(shards=(1, 2, 4), nodes=4, dirs_per_proc=16,
+                     files_per_proc=32),
+        full=dict(shards=(1, 2, 4, 8), nodes=8, dirs_per_proc=32,
+                  files_per_proc=64)),
+    "scaling-split": dict(
+        quick=dict(shards=(1, 4), nodes=8, files_per_proc=32),
+        default=dict(shards=(1, 2, 4), nodes=8, files_per_proc=32),
+        full=dict(shards=(1, 2, 4, 8), nodes=16, files_per_proc=64)),
+    "scaling-failover": dict(
+        quick=dict(nodes=4, files_per_proc=32),
+        default=dict(nodes=4, files_per_proc=32),
+        full=dict(nodes=8, files_per_proc=64)),
+    "scaling-async": dict(
+        quick=dict(shards=(1, 2), nodes=8, files_per_proc=32),
+        default=dict(shards=(1, 2, 4), nodes=8, files_per_proc=32),
+        full=dict(shards=(1, 2, 4, 8), nodes=16, files_per_proc=64)),
+}
 
 
-def _stack(system, n_clients, topology="flat", **kwargs):
-    if topology == "flat":
-        testbed = build_flat_testbed(n_clients, with_mds=(system == "cofs"))
-    else:
-        testbed = build_hier_testbed(n_clients, with_mds=(system == "cofs"))
-    if system == "cofs":
-        return CofsStack(testbed, **kwargs)
-    return PfsStack(testbed)
+class _Runs:
+    """Builds, runs and tallies every stack of experiment ``name``.
 
+    ``grid`` is the experiment's row of :data:`GRIDS` at ``scale``
+    (REPRO_FULL=1 promotes ``default`` to ``full``).  A stack is closed
+    when the next one is built, or by :meth:`result`: a multi-shard tier
+    must then pass the tier-wide invariant oracle (and the group oracle
+    too when it is replicated), and its final clock joins
+    ``virtual_ms``.  Summed in build order, the clocks are a fingerprint
+    of everything the experiment simulated.
+    """
 
-def _metarates(system, nodes, files_per_proc, ops, procs_per_node=1,
-               topology="flat", **stack_kwargs):
-    stack = _stack(system, nodes, topology=topology, **stack_kwargs)
-    config = MetaratesConfig(
-        nodes=nodes, procs_per_node=procs_per_node,
-        files_per_proc=files_per_proc, ops=ops,
-    )
-    return run_metarates(stack, config)
+    def __init__(self, name, scale):
+        if scale == "default" and os.environ.get("REPRO_FULL") == "1":
+            scale = "full"
+        self.grid = GRIDS[name][scale]
+        self.ops_done = 0  # measured ops driven, warm-ups excluded
+        self.virtual_ms = 0.0
+        self._open = None
+
+    def stack(self, system, nodes, build=build_flat_testbed, mds=1,
+              **kwargs):
+        """A fresh ``system`` stack on a ``build`` testbed of ``nodes``
+        clients; COFS gets ``mds`` metadata machines."""
+        self._close()
+        if system == "cofs":
+            self._open = CofsStack(build(nodes, with_mds=mds), **kwargs)
+        else:
+            self._open = PfsStack(build(nodes), **kwargs)
+        return self._open
+
+    def metarates(self, stack, **config):
+        """Run metarates on every node of ``stack``."""
+        res = run_metarates(
+            stack, MetaratesConfig(nodes=stack.n_nodes, **config))
+        self.ops_done += sum(res.recorder.count(op) for op in res.config.ops)
+        return res
+
+    def ior(self, stack, **config):
+        """Run IOR on every node of ``stack``; one op per transferred
+        chunk, write then read phase."""
+        config = IorConfig(nodes=stack.n_nodes, **config)
+        result = run_ior(stack, config)
+        self.ops_done += 2 * (config.aggregate_bytes // config.xfer_bytes)
+        return result
+
+    def trace(self, stack, **config):
+        """Run the production mix; one op per job, checkpoint or listing."""
+        result = run_trace(stack, TraceConfig(**config))
+        self.ops_done += (result.job_ms.n + result.checkpoint_ms.n
+                          + result.listing_ms.n)
+        return result
+
+    def result(self, **out):
+        """The grid plus ``out``, ``ops_done`` and ``virtual_ms``."""
+        self._close()
+        return dict(self.grid, **out, ops_done=self.ops_done,
+                    virtual_ms=self.virtual_ms)
+
+    def _close(self):
+        stack, self._open = self._open, None
+        if stack is None:
+            return
+        if stack.system == "cofs" and stack.n_shards > 1:
+            check_tier_invariants(stack.primaries, stack.sharding)
+            if stack.groups:
+                check_group_invariants(stack.groups)
+        self.virtual_ms += stack.testbed.sim.now
 
 
 # ---------------------------------------------------------------------------
 # EXP-F1 — Fig. 1: effect of directory size, single node, 1 and 2 processes
 # ---------------------------------------------------------------------------
 
-def run_fig1(full=False, print_report=False):
+def run_fig1(scale="default", print_report=False):
     """GPFS metadata times vs entries per directory on one node."""
-    sizes = (128, 256, 512, 1024, 1536, 2048, 2560) if _full(full) \
-        else (128, 512, 1024, 2048)
+    runs = _Runs("fig1", scale)
+    sizes = runs.grid["sizes"]
     results = {}
     for procs in (1, 2):
         for total in sizes:
-            res = _metarates(
-                "pfs", 1, total // procs, OPS, procs_per_node=procs
+            res = runs.metarates(
+                runs.stack("pfs", 1), procs_per_node=procs,
+                files_per_proc=total // procs, ops=OPS,
             )
             for op in OPS:
                 results[(op, procs, total)] = res.mean_ms(op)
-    out = {"sizes": sizes, "results": results}
+    out = runs.result(results=results)
     if print_report:
         for op in OPS:
             series = {
@@ -91,17 +215,19 @@ def run_fig1(full=False, print_report=False):
 # EXP-F2 — Fig. 2: parallel metadata behaviour of GPFS
 # ---------------------------------------------------------------------------
 
-def run_fig2(full=False, print_report=False):
+def run_fig2(scale="default", print_report=False):
     """GPFS metadata times for 4/8 nodes and 1024/4096/16384 files."""
-    totals = (1024, 4096, 16384) if _full(full) else (1024, 4096)
+    runs = _Runs("fig2", scale)
+    totals = runs.grid["totals"]
     node_counts = (4, 8)
     results = {}
     for nodes in node_counts:
         for total in totals:
-            res = _metarates("pfs", nodes, total // nodes, OPS)
+            res = runs.metarates(runs.stack("pfs", nodes),
+                                 files_per_proc=total // nodes, ops=OPS)
             for op in OPS:
                 results[(op, nodes, total)] = res.mean_ms(op)
-    out = {"totals": totals, "nodes": node_counts, "results": results}
+    out = runs.result(nodes=node_counts, results=results)
     if print_report:
         rows = [
             [op, nodes, total, results[(op, nodes, total)]]
@@ -118,30 +244,27 @@ def run_fig2(full=False, print_report=False):
 # EXP-F4 / EXP-F5 / EXP-F5b — Figs. 4-5: GPFS vs COFS sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep(op, full):
-    files_per_node = (32, 128, 512, 2048, 8192) if _full(full) \
-        else (32, 128, 512, 2048)
-    node_counts = (4, 8)
+def _sweep(runs, op):
     results = {}
     for system in ("pfs", "cofs"):
-        for nodes in node_counts:
-            for fpn in files_per_node:
-                res = _metarates(system, nodes, fpn, (op,))
+        for nodes in runs.grid["nodes"]:
+            for fpn in runs.grid["files_per_node"]:
+                res = runs.metarates(runs.stack(system, nodes),
+                                     files_per_proc=fpn, ops=(op,))
                 results[(system, nodes, fpn)] = res.mean_ms(op)
-    return {"files_per_node": files_per_node, "nodes": node_counts,
-            "results": results, "op": op}
+    return {"results": results, "op": op}
 
 
-def _print_sweep(out, figure):
-    op = out["op"]
+def _print_sweep(grid, sweep, figure):
+    op = sweep["op"]
     for system in ("pfs", "cofs"):
         label = "pure GPFS" if system == "pfs" else "COFS over GPFS"
         series = {
             f"{nodes} nodes": [
-                (fpn, out["results"][(system, nodes, fpn)])
-                for fpn in out["files_per_node"]
+                (fpn, sweep["results"][(system, nodes, fpn)])
+                for fpn in grid["files_per_node"]
             ]
-            for nodes in out["nodes"]
+            for nodes in grid["nodes"]
         }
         print(format_series(
             f"{figure} — avg {op} time ({label})",
@@ -150,47 +273,53 @@ def _print_sweep(out, figure):
         print()
 
 
-def run_fig4(full=False, print_report=False):
+def run_fig4(scale="default", print_report=False):
     """Create time, pure GPFS vs COFS over GPFS (paper Fig. 4)."""
-    out = _sweep("create", full)
+    runs = _Runs("fig4", scale)
+    out = runs.result(**_sweep(runs, "create"))
     if print_report:
-        _print_sweep(out, "Fig 4")
+        _print_sweep(runs.grid, out, "Fig 4")
     return out
 
 
-def run_fig5(full=False, print_report=False):
+def run_fig5(scale="default", print_report=False):
     """Stat time, pure GPFS vs COFS over GPFS (paper Fig. 5)."""
-    out = _sweep("stat", full)
+    runs = _Runs("fig5", scale)
+    out = runs.result(**_sweep(runs, "stat"))
     if print_report:
-        _print_sweep(out, "Fig 5")
+        _print_sweep(runs.grid, out, "Fig 5")
     return out
 
 
-def run_fig5b(full=False, print_report=False):
-    """utime and open/close sweeps (reported in prose in §IV-A)."""
-    utime = _sweep("utime", full)
-    open_close = _sweep("open", full)
+def run_fig5b(scale="default", print_report=False):
+    """utime and open/close sweeps (reported in prose in §IV-A); the
+    quick grid sweeps utime only."""
+    runs = _Runs("fig5b", scale)
+    ops = runs.grid["ops"]
+    out = runs.result(**{op: _sweep(runs, op) for op in ops})
     if print_report:
-        _print_sweep(utime, "Fig 5b (utime)")
-        _print_sweep(open_close, "Fig 5b (open/close)")
-    return {"utime": utime, "open": open_close}
+        for op in ops:
+            label = "open/close" if op == "open" else op
+            _print_sweep(runs.grid, out[op], f"Fig 5b ({label})")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # EXP-F6 — Fig. 6: 64 nodes, 256 files per node, hierarchical network
 # ---------------------------------------------------------------------------
 
-def run_fig6(full=False, print_report=False, nodes=None, files_per_node=256):
+def run_fig6(scale="default", print_report=False):
     """Operation times on the large hierarchical cluster, GPFS vs COFS."""
-    nodes = nodes or (64 if _full(full) else 32)
+    runs = _Runs("fig6", scale)
+    nodes, files_per_node = runs.grid["nodes"], runs.grid["files_per_node"]
     results = {}
     for system in ("pfs", "cofs"):
-        res = _metarates(system, nodes, files_per_node, OPS,
-                         topology="hier")
+        res = runs.metarates(runs.stack(system, nodes,
+                                        build=build_hier_testbed),
+                             files_per_proc=files_per_node, ops=OPS)
         for op in OPS:
             results[(system, op)] = res.mean_ms(op)
-    out = {"nodes": nodes, "files_per_node": files_per_node,
-           "results": results}
+    out = runs.result(results=results)
     if print_report:
         rows = [
             [op, results[("pfs", op)], results[("cofs", op)]]
@@ -208,36 +337,28 @@ def run_fig6(full=False, print_report=False, nodes=None, files_per_node=256):
 # EXP-T1 — Table I: impact of COFS on data transfers (IOR)
 # ---------------------------------------------------------------------------
 
-def run_table1(full=False, print_report=False):
+def run_table1(scale="default", print_report=False):
     """IOR read/write bandwidth, GPFS vs COFS, per Table I's matrix."""
-    sizes = (256 * MB, 1 * GB, 4 * GB) if _full(full) else (256 * MB, 1 * GB)
-    node_counts = (1, 4, 8)
+    runs = _Runs("table1", scale)
+    grid = runs.grid
+    matrix = list(itertools.product(
+        grid["targets"], grid["patterns"], grid["nodes"], grid["sizes"]))
     cells = {}
-    for target in ("separate", "shared"):
-        for pattern in ("seq", "random"):
-            for nodes in node_counts:
-                for agg in sizes:
-                    for system in ("pfs", "cofs"):
-                        stack = _stack(system, nodes)
-                        result = run_ior(stack, IorConfig(
-                            nodes=nodes, aggregate_bytes=agg,
-                            pattern=pattern, target=target,
-                        ))
-                        key = (target, pattern, nodes, agg, system)
-                        cells[key] = (result.write_mbps, result.read_mbps)
-    out = {"sizes": sizes, "nodes": node_counts, "cells": cells}
+    for target, pattern, nodes, agg in matrix:
+        for system in ("pfs", "cofs"):
+            result = runs.ior(runs.stack(system, nodes), aggregate_bytes=agg,
+                              pattern=pattern, target=target)
+            cells[(target, pattern, nodes, agg, system)] = \
+                (result.write_mbps, result.read_mbps)
+    out = runs.result(cells=cells)
     if print_report:
         rows = []
-        for target in ("separate", "shared"):
-            for pattern in ("seq", "random"):
-                for nodes in node_counts:
-                    for agg in sizes:
-                        g = cells[(target, pattern, nodes, agg, "pfs")]
-                        c = cells[(target, pattern, nodes, agg, "cofs")]
-                        rows.append([
-                            target, pattern, nodes, agg // MB,
-                            g[0], c[0], g[1], c[1],
-                        ])
+        for target, pattern, nodes, agg in matrix:
+            g = cells[(target, pattern, nodes, agg, "pfs")]
+            c = cells[(target, pattern, nodes, agg, "cofs")]
+            rows.append([
+                target, pattern, nodes, agg // MB, g[0], c[0], g[1], c[1],
+            ])
         print(format_table(
             ["target", "pattern", "nodes", "MB total",
              "gpfs w MB/s", "cofs w MB/s", "gpfs r MB/s", "cofs r MB/s"],
@@ -250,7 +371,7 @@ def run_table1(full=False, print_report=False):
 # EXP-A1 — ablation: placement policy variants
 # ---------------------------------------------------------------------------
 
-def run_ablation_placement(full=False, print_report=False):
+def run_ablation_placement(scale="default", print_report=False):
     """Isolate what the placement policy contributes.
 
     - identity: pure interposition, no reorganization (the virtualization
@@ -259,22 +380,26 @@ def run_ablation_placement(full=False, print_report=False):
     - hash+rand: the paper's policy.
     """
     nodes = 4
-    fpn = 512 if _full(full) else 256
-    variants = {}
+    ops = ("create", "stat")
     cfg = CofsConfig()
-    variants["identity"] = IdentityPlacementPolicy(cfg)
-    variants["hash"] = HashPlacementPolicy(cfg, randomize=False)
-    variants["hash+rand"] = HashPlacementPolicy(cfg, randomize=True)
+    variants = {
+        "identity": IdentityPlacementPolicy(cfg),
+        "hash": HashPlacementPolicy(cfg, randomize=False),
+        "hash+rand": HashPlacementPolicy(cfg, randomize=True),
+    }
+    runs = _Runs("ablation-placement", scale)
+    fpn = runs.grid["files_per_node"]
     results = {}
-    baseline = _metarates("pfs", nodes, fpn, ("create", "stat"))
+    baseline = runs.metarates(runs.stack("pfs", nodes),
+                              files_per_proc=fpn, ops=ops)
     results[("gpfs", "create")] = baseline.mean_ms("create")
     results[("gpfs", "stat")] = baseline.mean_ms("stat")
     for name, policy in variants.items():
-        res = _metarates("cofs", nodes, fpn, ("create", "stat"),
-                         policy=policy)
+        res = runs.metarates(runs.stack("cofs", nodes, policy=policy),
+                             files_per_proc=fpn, ops=ops)
         results[(name, "create")] = res.mean_ms("create")
         results[(name, "stat")] = res.mean_ms("stat")
-    out = {"results": results, "nodes": nodes, "files_per_node": fpn}
+    out = runs.result(results=results, nodes=nodes)
     if print_report:
         rows = [
             [name, results[(name, "create")], results[(name, "stat")]]
@@ -291,18 +416,19 @@ def run_ablation_placement(full=False, print_report=False):
 # EXP-A2 — ablation: metadata-service durability
 # ---------------------------------------------------------------------------
 
-def run_ablation_mds(full=False, print_report=False):
+def run_ablation_mds(scale="default", print_report=False):
     """Sync vs async metadata-service logging (Mnesia dump policy)."""
     nodes = 4
-    fpn = 512 if _full(full) else 256
+    runs = _Runs("ablation-mds", scale)
+    fpn = runs.grid["files_per_node"]
     results = {}
     for mode, sync in (("sync-log", True), ("async-log", False)):
         cofs_cfg = CofsConfig(db=DbConfig(sync_updates=sync))
-        res = _metarates("cofs", nodes, fpn, ("create", "utime"),
-                         cofs_config=cofs_cfg)
+        res = runs.metarates(runs.stack("cofs", nodes, cofs_config=cofs_cfg),
+                             files_per_proc=fpn, ops=("create", "utime"))
         results[(mode, "create")] = res.mean_ms("create")
         results[(mode, "utime")] = res.mean_ms("utime")
-    out = {"results": results, "nodes": nodes, "files_per_node": fpn}
+    out = runs.result(results=results, nodes=nodes)
     if print_report:
         rows = [
             [mode, results[(mode, "create")], results[(mode, "utime")]]
@@ -319,7 +445,7 @@ def run_ablation_mds(full=False, print_report=False):
 # EXP-S1 — beyond the paper: metadata throughput vs number of MDS shards
 # ---------------------------------------------------------------------------
 
-def run_scaling_mds(full=False, print_report=False, shard_counts=None):
+def run_scaling_mds(scale="default", print_report=False):
     """Aggregate metadata throughput as the metadata tier gains shards.
 
     Two workloads per shard count:
@@ -342,61 +468,50 @@ def run_scaling_mds(full=False, print_report=False, shard_counts=None):
       here is stability: per-class latencies must not regress when the
       namespace is partitioned.
 
-    ``shard_counts`` (or the ``REPRO_SCALING_SHARDS`` environment
-    variable, e.g. ``1,2``) overrides the default grid.
+    The quick grid runs the create/stat/utime trio only, with no trace.
     """
-    if shard_counts is None:
-        env = os.environ.get("REPRO_SCALING_SHARDS")
-        if env:
-            shard_counts = tuple(int(tok) for tok in env.split(",") if tok)
-        else:
-            shard_counts = (1, 2, 4, 8) if _full(full) else (1, 2, 4)
-    nodes = 16 if _full(full) else 8
-    procs_per_node = 2
-    fpp = 64 if _full(full) else 32
-    # mdcreate runs last: the earlier phases' timings are untouched, so
-    # the create/stat/utime/mix columns stay digit-identical to PR 2/3.
-    ops = ("create", "stat", "utime", "mdcreate")
+    runs = _Runs("scaling-mds", scale)
+    grid = runs.grid
+    nodes, procs_per_node = grid["nodes"], grid["procs_per_node"]
+    fpp, ops, trace_ms = grid["files_per_proc"], grid["ops"], grid["trace_ms"]
     trace_split = SubtreeSharding(
         {"/project/checkpoints": 0, "/project/results": 1}
     )
     results = {}
-    for n_shards in shard_counts:
-        testbed = build_flat_testbed(nodes, with_mds=n_shards)
-        stack = CofsStack(testbed)
-        res = run_metarates(stack, MetaratesConfig(
-            nodes=nodes, procs_per_node=procs_per_node, files_per_proc=fpp,
-            ops=ops, private_dirs=True,
-        ))
+    for n_shards in grid["shards"]:
+        res = runs.metarates(
+            runs.stack("cofs", nodes, mds=n_shards),
+            procs_per_node=procs_per_node, files_per_proc=fpp, ops=ops,
+            private_dirs=True,
+        )
         for op in ops:
             results[("metarates", op, n_shards)] = res.rate_per_s(op)
         results[("metarates", "mix", n_shards)] = sum(
             res.rate_per_s(op) for op in ("create", "stat", "utime")
         )
-        trace_bed = build_flat_testbed(9, with_mds=n_shards)
-        trace_stack = CofsStack(trace_bed, sharding=trace_split)
-        trace = run_trace(trace_stack, TraceConfig(
-            duration_ms=4000.0 if _full(full) else 2000.0,
-        )).summary()
-        results[("traces", "job_ms", n_shards)] = trace["job_ms"]
-        results[("traces", "checkpoint_ms", n_shards)] = \
-            trace["checkpoint_ms"]
-        results[("traces", "jobs", n_shards)] = trace["jobs_completed"]
-    out = {"shards": tuple(shard_counts), "nodes": nodes,
-           "procs_per_node": procs_per_node, "files_per_proc": fpp,
-           "ops": ops, "results": results}
+        if trace_ms:
+            trace = runs.trace(
+                runs.stack("cofs", 9, mds=n_shards, sharding=trace_split),
+                duration_ms=trace_ms,
+            ).summary()
+            results[("traces", "job_ms", n_shards)] = trace["job_ms"]
+            results[("traces", "checkpoint_ms", n_shards)] = \
+                trace["checkpoint_ms"]
+            results[("traces", "jobs", n_shards)] = trace["jobs_completed"]
+    out = runs.result(results=results)
     if print_report:
+        trace_cols = ["trace job ms", "trace jobs"] if trace_ms else []
         rows = [
             [n_shards] +
             [round(results[("metarates", op, n_shards)], 1)
              for op in ops + ("mix",)] +
-            [round(results[("traces", "job_ms", n_shards)], 2),
-             results[("traces", "jobs", n_shards)]]
-            for n_shards in shard_counts
+            ([round(results[("traces", "job_ms", n_shards)], 2),
+              results[("traces", "jobs", n_shards)]] if trace_ms else [])
+            for n_shards in grid["shards"]
         ]
         print(format_table(
-            ["shards", "create/s", "stat/s", "utime/s", "mdcreate/s",
-             "mix/s", "trace job ms", "trace jobs"], rows,
+            ["shards"] + [f"{op}/s" for op in ops + ("mix",)] + trace_cols,
+            rows,
             title=(f"Scaling — metadata shards ({nodes} nodes x "
                    f"{procs_per_node} procs, private dirs)"),
         ))
@@ -424,7 +539,7 @@ def _colliding_dir_names(sharding, parent, count, n_shards, shard=0):
     return tuple(names)
 
 
-def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
+def run_scaling_rebalance(scale="default", print_report=False):
     """Parallel mirror broadcasts and online load-aware re-partitioning.
 
     Two sub-experiments beyond ``scaling-mds``:
@@ -443,41 +558,24 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
       routers' load counters and re-homes the hot directories; the same
       workload re-runs against the *migrated* population
       (``assume_seeded``) and its throughput recovers toward the
-      unskewed curve.
-
-    ``shard_counts`` (or ``REPRO_REBALANCE_SHARDS``, e.g. ``1,2``)
-    overrides the default grid of the latency sweep; the skew experiment
-    uses the counts > 1.
+      unskewed curve.  It runs at the grid's shard counts above 1.
     """
-    from repro.core.shard import Rebalancer
-
-    if shard_counts is None:
-        env = os.environ.get("REPRO_REBALANCE_SHARDS")
-        if env:
-            shard_counts = tuple(int(tok) for tok in env.split(",") if tok)
-        else:
-            shard_counts = (1, 2, 4, 8) if _full(full) else (1, 2, 4)
-    nodes = 8 if _full(full) else 4
-    dirs_per_proc = 32 if _full(full) else 16
+    runs = _Runs("scaling-rebalance", scale)
+    grid = runs.grid
+    shards, nodes = grid["shards"], grid["nodes"]
     results = {}
-    ops_done = 0  # measured ops actually driven (quick-bench volume)
-    virtual_ms = 0.0  # summed final clocks of every stack (fingerprint)
 
     # (a) mkdir/rmdir latency, serial vs parallel broadcasts.
-    for n_shards in shard_counts:
+    for n_shards in shards:
         modes = ("serial",) if n_shards <= 2 else ("serial", "parallel")
         for mode in modes:
-            testbed = build_flat_testbed(nodes, with_mds=n_shards)
-            stack = CofsStack(testbed, cofs_config=CofsConfig(
-                parallel_broadcasts=(mode == "parallel")))
-            res = run_metarates(stack, MetaratesConfig(
-                nodes=nodes, files_per_proc=dirs_per_proc,
-                ops=("mkdir", "rmdir"),
-            ))
+            stack = runs.stack("cofs", nodes, mds=n_shards,
+                               cofs_config=CofsConfig(
+                                   parallel_broadcasts=(mode == "parallel")))
+            res = runs.metarates(stack, files_per_proc=grid["dirs_per_proc"],
+                                 ops=("mkdir", "rmdir"))
             for op in ("mkdir", "rmdir"):
                 results[(op, n_shards, mode)] = res.mean_ms(op)
-                ops_done += res.recorder.count(op)
-            virtual_ms += testbed.sim.now
         if n_shards <= 2:
             # ≤1 peer: overlap cannot differ from the serial chain.
             for op in ("mkdir", "rmdir"):
@@ -485,40 +583,31 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
                     results[(op, n_shards, "serial")]
 
     # (b) skewed stat workload, before/after online re-partitioning.
-    skew_counts = [n for n in shard_counts if n > 1]
+    skew_counts = [n for n in shards if n > 1]
     procs_per_node = 2
-    fpp = 64 if _full(full) else 32
     for n_shards in skew_counts:
-        testbed = build_flat_testbed(nodes, with_mds=n_shards)
-        stack = CofsStack(testbed)
+        stack = runs.stack("cofs", nodes, mds=n_shards)
         names = _colliding_dir_names(
             stack.sharding, "/bench/shared",
             nodes * procs_per_node, n_shards)
-        config = MetaratesConfig(
-            nodes=nodes, procs_per_node=procs_per_node,
-            files_per_proc=fpp, ops=("stat",),
-            rank_dir_names=names, cleanup=False,
-        )
-        skewed = run_metarates(stack, config)
+        skew = dict(procs_per_node=procs_per_node,
+                    files_per_proc=grid["files_per_proc"], ops=("stat",),
+                    rank_dir_names=names, cleanup=False)
+        skewed = runs.metarates(stack, **skew)
         results[("skew-stat", n_shards, "before")] = skewed.rate_per_s("stat")
         rebalancer = Rebalancer(stack.routers, stack.shards)
         moves = stack.testbed.sim.run_process(rebalancer.rebalance())
         results[("skew-moves", n_shards)] = len(moves)
-        rerun = run_metarates(
-            stack, dataclasses.replace(config, assume_seeded=True))
+        rerun = runs.metarates(stack, assume_seeded=True, **skew)
         results[("skew-stat", n_shards, "after")] = rerun.rate_per_s("stat")
-        ops_done += skewed.recorder.count("stat") + rerun.recorder.count("stat")
-        virtual_ms += testbed.sim.now
 
-    out = {"shards": tuple(shard_counts), "nodes": nodes,
-           "dirs_per_proc": dirs_per_proc, "ops_done": ops_done,
-           "virtual_ms": virtual_ms, "results": results}
+    out = runs.result(results=results)
     if print_report:
         rows = [
             [n_shards, op,
              round(results[(op, n_shards, "serial")], 4),
              round(results[(op, n_shards, "parallel")], 4)]
-            for n_shards in shard_counts for op in ("mkdir", "rmdir")
+            for n_shards in shards for op in ("mkdir", "rmdir")
         ]
         print(format_table(
             ["shards", "op", "serial ms/op", "parallel ms/op"], rows,
@@ -544,7 +633,7 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
 # EXP-S4 — beyond the paper: giant shared directories vs intra-dir splitting
 # ---------------------------------------------------------------------------
 
-def run_scaling_split(full=False, print_report=False, shard_counts=None):
+def run_scaling_split(scale="default", print_report=False):
     """Create-storm into ONE shared directory, whole vs split placement.
 
     The giant-directory regime the paper's Fig. 6 measures (every rank
@@ -566,32 +655,19 @@ def run_scaling_split(full=False, print_report=False, shard_counts=None):
       ``mdcreate`` isolates the metadata tier (no underlying object), so
       its rate is the scaling headline; ``stat`` rides along as the
       read-side check.
-
-    Every split run ends under the tier-wide invariant oracle.
-    ``shard_counts`` (or ``REPRO_SPLIT_SHARDS``, e.g. ``1,4``) overrides
-    the default grid.
     """
-    from repro.core.faults import check_tier_invariants
-    from repro.core.shard import Rebalancer
-
-    if shard_counts is None:
-        env = os.environ.get("REPRO_SPLIT_SHARDS")
-        if env:
-            shard_counts = tuple(int(tok) for tok in env.split(",") if tok)
-        else:
-            shard_counts = (1, 2, 4, 8) if _full(full) else (1, 2, 4)
+    runs = _Runs("scaling-split", scale)
+    grid = runs.grid
     # The storm must *saturate* one shard for splitting to have anything
     # to spread: with few ranks every op is latency-bound and extra
     # shards buy nothing, so this experiment runs wider than the other
     # scaling sweeps.
-    nodes = 16 if _full(full) else 8
+    shards, nodes, fpp = \
+        grid["shards"], grid["nodes"], grid["files_per_proc"]
     procs_per_node = 8
-    fpp = 64 if _full(full) else 32
     ops = ("mdcreate", "stat")
     results = {}
-    ops_done = 0
-    virtual_ms = 0.0
-    for n_shards in shard_counts:
+    for n_shards in shards:
         for mode in ("unsplit", "split"):
             if mode == "split" and n_shards == 1:
                 # One shard has nothing to split across; the whole-dir
@@ -600,35 +676,26 @@ def run_scaling_split(full=False, print_report=False, shard_counts=None):
                     results[(op, 1, "split")] = results[(op, 1, "unsplit")]
                 results[("split-dirs", 1)] = 0
                 continue
-            testbed = build_flat_testbed(nodes, with_mds=n_shards)
-            stack = CofsStack(testbed)
-            config = MetaratesConfig(
-                nodes=nodes, procs_per_node=procs_per_node,
-                files_per_proc=fpp, ops=ops,
-            )
+            stack = runs.stack("cofs", nodes, mds=n_shards)
             if mode == "split":
                 # Warmup storm: enough traffic for the routers to sample
                 # the hotspot, then one rebalancer round splits it.
-                run_metarates(stack, dataclasses.replace(
-                    config, files_per_proc=4, ops=("mdcreate",)))
+                run_metarates(stack, MetaratesConfig(
+                    nodes=nodes, procs_per_node=procs_per_node,
+                    files_per_proc=4, ops=("mdcreate",)))
                 rebalancer = Rebalancer(
                     stack.routers, stack.shards, split_threshold=1.0)
                 executed = stack.testbed.sim.run_process(
                     rebalancer.rebalance())
                 splits = [rec for rec in executed if len(rec[2]) > 1]
                 results[("split-dirs", n_shards)] = len(splits)
-            res = run_metarates(stack, config)
+            res = runs.metarates(stack, procs_per_node=procs_per_node,
+                                 files_per_proc=fpp, ops=ops)
             for op in ops:
                 results[(op, n_shards, mode)] = res.rate_per_s(op)
                 results[(op, n_shards, mode, "mean_ms")] = res.mean_ms(op)
-            ops_done += sum(res.recorder.count(op) for op in ops)
-            virtual_ms += stack.testbed.sim.now
-            if mode == "split":
-                check_tier_invariants(stack.shards, stack.sharding)
-    out = {"shards": tuple(shard_counts), "nodes": nodes,
-           "procs_per_node": procs_per_node, "files_per_proc": fpp,
-           "ops": ops, "ops_done": ops_done, "virtual_ms": virtual_ms,
-           "results": results}
+    out = runs.result(procs_per_node=procs_per_node, ops=ops,
+                      results=results)
     if print_report:
         rows = [
             [n_shards,
@@ -637,7 +704,7 @@ def run_scaling_split(full=False, print_report=False, shard_counts=None):
              round(results[("stat", n_shards, "unsplit")], 1),
              round(results[("stat", n_shards, "split")], 1),
              results[("split-dirs", n_shards)]]
-            for n_shards in shard_counts
+            for n_shards in shards
         ]
         print(format_table(
             ["shards", "mdcreate/s whole", "mdcreate/s split",
@@ -652,7 +719,7 @@ def run_scaling_split(full=False, print_report=False, shard_counts=None):
 # EXP-S3 — beyond the paper: primary failover under load
 # ---------------------------------------------------------------------------
 
-def run_scaling_failover(full=False, print_report=False):
+def run_scaling_failover(scale="default", print_report=False):
     """Kill a shard's primary under metadata load; measure the outage.
 
     A replicated tier (2 shards x 2 replicas) runs the private-dirs
@@ -675,21 +742,16 @@ def run_scaling_failover(full=False, print_report=False):
     - ``("failover", "step_ms", <step>)`` — the promotion sub-steps
       (epoch bump, tier fence, member fences, allocator reseat) read
       straight off the promote span's event marks;
-    - ``post_failover_ops`` — ops completed after the kill (the full
-      namespace keeps serving from the promoted primary; the cleanup
-      phase deletes every file through it, which would fail loudly on
-      any lost record).
+    - ``("failover", "count")`` — failovers the kill drove (one).
 
-    The run ends with the tier-wide and group invariant oracles plus the
+    The kill run's cleanup phase deletes every file through the promoted
+    primary, which would fail loudly on any lost record.  The run ends
+    with the tier-wide and group invariant oracles plus the
     trace-invariant checker over the kill run's spans.
     """
-    from repro.core.faults import (
-        check_group_invariants, check_tier_invariants, kill_primary,
-    )
-
-    nodes = 8 if _full(full) else 4
+    runs = _Runs("scaling-failover", scale)
+    nodes, fpp = runs.grid["nodes"], runs.grid["files_per_proc"]
     procs_per_node = 2
-    fpp = 64 if _full(full) else 32
     shards, replicas = 2, 2
     ops = ("mdcreate", "stat", "utime")
     kill_at = 150.0  # ms: inside the *measured* mdcreate phase window
@@ -698,14 +760,11 @@ def run_scaling_failover(full=False, print_report=False):
     # run's tail latencies absorb the gap instead of an untimed seeding
     # phase hiding it.
     results = {}
-    virtual_ms = 0.0  # summed final clocks of both stacks (fingerprint)
     owned_obs = obs.TRACER is None  # enable tracing just for the kill run
     for mode in ("baseline", "failover"):
-        testbed = build_flat_testbed(nodes, with_mds=shards * replicas)
-        stack = CofsStack(testbed, shards=shards, replicas=replicas)
-        sim = testbed.sim
-        killed = []
-        mark = 0
+        stack = runs.stack("cofs", nodes, mds=shards * replicas,
+                           shards=shards, replicas=replicas)
+        sim = stack.testbed.sim
         if mode == "failover":
             if owned_obs:
                 obs.enable()
@@ -714,13 +773,11 @@ def run_scaling_failover(full=False, print_report=False):
 
             def killer():
                 yield sim.timeout(kill_at)
-                killed.append(kill_primary(group))
+                kill_primary(group)
 
             sim.process(killer(), name="kill-primary")
-        res = run_metarates(stack, MetaratesConfig(
-            nodes=nodes, procs_per_node=procs_per_node,
-            files_per_proc=fpp, ops=ops, private_dirs=True,
-        ))
+        res = runs.metarates(stack, procs_per_node=procs_per_node,
+                             files_per_proc=fpp, ops=ops, private_dirs=True)
         for op in ops:
             results[(mode, op, "mean_ms")] = res.mean_ms(op)
             results[(mode, op, "p50_ms")] = res.recorder.p50(op)
@@ -728,9 +785,9 @@ def run_scaling_failover(full=False, print_report=False):
             results[(mode, op, "max_ms")] = res.recorder.summary(op).max
             results[(mode, op, "rate")] = res.rate_per_s(op)
         if mode == "failover":
-            assert killed, "the kill never fired (run too short?)"
-            group = stack.groups[0]
-            assert group.failovers == 1, "no failover was driven"
+            assert group.failovers == 1, (
+                f"{group.failovers} failovers (did the kill land in the run?)")
+            results[("failover", "count")] = group.failovers
             spans = obs.TRACER.spans[mark:]
             obs.TraceChecker(obs.TRACER).check_all()
             # The availability gap is the failover span, not ad-hoc
@@ -753,15 +810,8 @@ def run_scaling_failover(full=False, print_report=False):
             if owned_obs:
                 obs.disable()
             results[("failover", "killed_at_ms")] = kill_at
-            results[("failover", "post_failover_ops")] = sum(
-                res.recorder.count(op) for op in ops)
-        check_tier_invariants(stack.primaries, stack.sharding)
-        if stack.groups:
-            check_group_invariants(stack.groups)
-        virtual_ms += sim.now
-    out = {"nodes": nodes, "procs_per_node": procs_per_node,
-           "files_per_proc": fpp, "shards": shards, "replicas": replicas,
-           "ops": ops, "virtual_ms": virtual_ms, "results": results}
+    out = runs.result(procs_per_node=procs_per_node, shards=shards,
+                      replicas=replicas, ops=ops, results=results)
     if print_report:
         rows = [
             [mode, op,
@@ -795,7 +845,7 @@ def run_scaling_failover(full=False, print_report=False):
 # EXP-S5 — beyond the paper: asynchronous group commit vs the force ceiling
 # ---------------------------------------------------------------------------
 
-def run_scaling_async(full=False, print_report=False, shard_counts=None):
+def run_scaling_async(scale="default", print_report=False):
     """Metadata mutation throughput, synchronous vs asynchronous commit.
 
     The private-dirs metarates mix runs twice per shard count, on fresh
@@ -810,37 +860,25 @@ def run_scaling_async(full=False, print_report=False, shard_counts=None):
 
     The async runs execute under tracing with the full
     :class:`~repro.obs.TraceChecker` — including the
-    durable-before-dependent-ack rule — over every emitted history, and
-    end under the tier-wide invariant oracle.  ``shard_counts`` (or
-    ``REPRO_ASYNC_SHARDS``, e.g. ``1,4``) overrides the default grid.
+    durable-before-dependent-ack rule — over every emitted history.
     """
-    from repro.core.faults import check_tier_invariants
-
-    if shard_counts is None:
-        env = os.environ.get("REPRO_ASYNC_SHARDS")
-        if env:
-            shard_counts = tuple(int(tok) for tok in env.split(",") if tok)
-        else:
-            shard_counts = (1, 2, 4, 8) if _full(full) else (1, 2, 4)
-    nodes = 16 if _full(full) else 8
+    runs = _Runs("scaling-async", scale)
+    shards, nodes, fpp = \
+        runs.grid["shards"], runs.grid["nodes"], runs.grid["files_per_proc"]
     procs_per_node = 2
-    fpp = 64 if _full(full) else 32
     ops = ("mdcreate", "utime", "stat")
     results = {}
-    ops_done = 0
-    virtual_ms = 0.0
     owned_obs = obs.TRACER is None  # trace just the async legs
-    for n_shards in shard_counts:
+    for n_shards in shards:
         for mode in ("sync", "async"):
             cofs_cfg = CofsConfig(async_commit=(mode == "async"))
-            testbed = build_flat_testbed(nodes, with_mds=n_shards)
-            stack = CofsStack(testbed, cofs_config=cofs_cfg)
+            stack = runs.stack("cofs", nodes, mds=n_shards,
+                               cofs_config=cofs_cfg)
             if mode == "async" and owned_obs:
                 obs.enable()
-            res = run_metarates(stack, MetaratesConfig(
-                nodes=nodes, procs_per_node=procs_per_node,
-                files_per_proc=fpp, ops=ops, private_dirs=True,
-            ))
+            res = runs.metarates(stack, procs_per_node=procs_per_node,
+                                 files_per_proc=fpp, ops=ops,
+                                 private_dirs=True)
             for op in ops:
                 results[(op, n_shards, mode)] = res.rate_per_s(op)
                 results[(op, n_shards, mode, "mean_ms")] = res.mean_ms(op)
@@ -853,14 +891,8 @@ def run_scaling_async(full=False, print_report=False, shard_counts=None):
                     obs.disable()
             else:
                 assert deferred == 0
-            if stack.n_shards > 1:  # single-shard stacks have no tier
-                check_tier_invariants(stack.shards, stack.sharding)
-            ops_done += sum(res.recorder.count(op) for op in ops)
-            virtual_ms += stack.testbed.sim.now
-    out = {"shards": tuple(shard_counts), "nodes": nodes,
-           "procs_per_node": procs_per_node, "files_per_proc": fpp,
-           "ops": ops, "ops_done": ops_done, "virtual_ms": virtual_ms,
-           "results": results}
+    out = runs.result(procs_per_node=procs_per_node, ops=ops,
+                      results=results)
     if print_report:
         rows = [
             [n_shards,
@@ -870,7 +902,7 @@ def run_scaling_async(full=False, print_report=False, shard_counts=None):
              round(results[("utime", n_shards, "async")], 1),
              round(results[("stat", n_shards, "async")], 1),
              results[("deferred_acks", n_shards, "async")]]
-            for n_shards in shard_counts
+            for n_shards in shards
         ]
         print(format_table(
             ["shards", "mdcreate/s sync", "mdcreate/s async",

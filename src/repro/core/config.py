@@ -45,10 +45,9 @@ class CofsConfig:
     #: asynchronous group commit for metadata updates: commit to the
     #: volatile tables immediately, ack when *dependency* rules allow,
     #: and let a per-shard batcher coalesce log forces (see
-    #: :class:`repro.db.service.DbConfig.async_commit`, which this flag
-    #: simply propagates into ``db``).  Off by default — synchronous
-    #: forces are the durability contract all reference figures were
-    #: measured with.
+    #: :class:`repro.db.service.DbService`, which this flag configures).
+    #: Off by default — synchronous forces are the durability contract
+    #: all reference figures were measured with.
     async_commit: bool = False
     #: cost model of the Mnesia-like database backing the service.
     db: DbConfig = field(default_factory=DbConfig)
@@ -56,12 +55,6 @@ class CofsConfig:
     #: ext3-formatted disk locally attached to one blade).
     mds_disk_seek_ms: float = 3.0
     mds_disk_bw: float = 50000.0  # bytes/ms ~ 50 MB/s ext3-era disk
-
-    def __post_init__(self):
-        if self.async_commit and not self.db.async_commit:
-            from dataclasses import replace as dc_replace
-
-            self.db = dc_replace(self.db, async_commit=True)
 
     def replace(self, **overrides):
         from dataclasses import replace as dc_replace

@@ -69,7 +69,8 @@ class MetadataService:
         # pointer); only group *backups* ever write to it — see
         # :mod:`repro.core.shard.replication`.
         database.create_table("repl", key="slot")
-        self.dbsvc = DbService(machine, database, disk, config.db)
+        self.dbsvc = DbService(machine, database, disk, config.db,
+                               async_commit=config.async_commit)
         self._resolve_cache = {}      # parent-path tuple -> (vino, walked vinos)
         self._resolve_by_parent = {}  # dir vino -> prefix keys reading from it
         self._vino = itertools.count(1)

@@ -35,23 +35,25 @@ class DbConfig:
     sync_updates: bool = True        # ablation hook: skip log forces if False
     recovery_base_ms: float = 200.0  # process restart + log open
     recovery_per_record_ms: float = 0.02  # redo-apply per journal record
-    #: asynchronous group commit: updates commit to volatile tables and
-    #: are acknowledged as soon as *dependency* rules allow, while a
-    #: per-node batcher coalesces outstanding redo records into one log
-    #: force per window.  The crash model becomes bounded loss: the
-    #: journal tail since the last completed force is gone.  Off by
-    #: default — synchronous forces are what every reference figure was
-    #: measured with.
-    async_commit: bool = False
-    #: the batcher's coalescing window: how long it lets redo records
-    #: accumulate before issuing the next force.
+    #: the async-commit batcher's coalescing window: how long it lets
+    #: redo records accumulate before issuing the next force.
     async_force_window_ms: float = 0.25
 
 
 class DbService:
-    """Hosts a :class:`~repro.db.database.Database` on a simulated machine."""
+    """Hosts a :class:`~repro.db.database.Database` on a simulated machine.
 
-    def __init__(self, machine, database, disk, config=None):
+    ``async_commit`` selects asynchronous group commit: updates commit to
+    volatile tables and are acknowledged as soon as *dependency* rules
+    allow, while a per-node batcher coalesces outstanding redo records
+    into one log force per window.  The crash model becomes bounded
+    loss: the journal tail since the last completed force is gone.  Off
+    by default — synchronous forces are what every reference figure was
+    measured with.
+    """
+
+    def __init__(self, machine, database, disk, config=None,
+                 async_commit=False):
         self.machine = machine
         self.db = database
         self.config = config or DbConfig()
@@ -101,7 +103,7 @@ class DbService:
         self.obs_shard = None
         #: updates acknowledged before their own redo record was durable.
         self.deferred_acks = 0
-        self._async = bool(self.config.async_commit)
+        self._async = bool(async_commit)
         if self._async:
             database.track_reads = True
         # -- async group-commit state (untouched in sync mode) ----------

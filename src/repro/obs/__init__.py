@@ -15,7 +15,7 @@ context follows spawned processes.
 
 Tracing is **charge-preserving**: it never creates simulated events,
 yields, or sequence numbers, so every figure is byte-identical with
-tracing on or off (CI's ``obs-smoke`` job proves it each run).
+tracing on or off (CI's ``quick-bench`` job proves it each run).
 """
 
 from repro.obs.trace import Tracer

@@ -31,6 +31,8 @@ def test_cli_rejects_unknown_experiment():
 
 def test_experiment_returns_structured_results():
     out = run_ablation_mds()
+    assert out["files_per_node"] == 256  # the default grid
+    assert out["ops_done"] > 0 and out["virtual_ms"] > 0
     assert ("sync-log", "create") in out["results"]
     assert ("async-log", "utime") in out["results"]
     assert out["results"][("sync-log", "utime")] > \

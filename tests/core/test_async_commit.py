@@ -26,6 +26,8 @@ durability timing, never results.
 
 import os
 
+import pytest
+
 from repro import obs
 from repro.core.config import CofsConfig
 from repro.core.faults import (
@@ -37,6 +39,7 @@ from repro.core.faults import (
     namespace_image,
 )
 from repro.core.shard import SubtreeSharding
+from repro.db.service import DbConfig
 from repro.pfs.errors import FsError
 from tests.core.conftest import ShardedCofs
 
@@ -200,6 +203,18 @@ def test_async_and_sync_reach_identical_namespaces():
     assert images[0] == images[1], (
         "async commit changed the observable result of the workload"
     )
+
+
+def test_commit_mode_has_one_flag():
+    """``CofsConfig.async_commit`` alone picks the commit mode.  A second
+    flag on ``DbConfig`` once made
+    ``CofsConfig(async_commit=False, db=DbConfig(async_commit=True))``
+    run async; the DB config no longer carries one."""
+    with pytest.raises(TypeError):
+        DbConfig(async_commit=True)
+    for async_commit in (False, True):
+        host = _build(async_commit=async_commit)
+        assert [s.dbsvc._async for s in host.shards] == [async_commit] * 2
 
 
 def test_crashed_node_refuses_acks_until_recovery():
