@@ -391,9 +391,9 @@ def check_tier_invariants(shards, sharding, images=()):
             f"shard {shard.shard_id} holds unresolved intents: {leftover}"
         )
 
-    # 2b. The routing map: identical durable tables on every shard, and
-    #     the shared in-memory map (what routing consults) reflects
-    #     exactly the durable rows.
+    # 2b. The routing map: identical durable tables on every shard, the
+    #     shared in-memory map (what routing consults) reflects exactly
+    #     the durable rows, and no rename's routing alias outlived it.
     route_tables = [
         {row["path"]: (row["owner"], tuple(row["shards"]), row["seq"])
          for row in shard.db.table("routes").all()}
@@ -410,6 +410,8 @@ def check_tier_invariants(shards, sharding, images=()):
         f"in-memory routing map diverges from durable rows: "
         f"{_dict_diff(durable, in_memory)}"
     )
+    renaming = getattr(sharding, "renaming", {})
+    assert not renaming, f"finished renames left routing aliases: {renaming}"
 
     # 3. Dentry/inode structural consistency per shard + stub homes.
     inodes = [

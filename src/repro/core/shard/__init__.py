@@ -10,8 +10,8 @@ subsystems (one module per concern):
 - :mod:`repro.core.shard.routing` — the partition function
   (:class:`ShardingPolicy`: hash-by-parent-directory or static subtrees,
   plus the routing map — one ``path → (owner, shards)`` row per
-  re-homed, split or merged directory), the client-side :class:`ShardRouter`
-  with its load counters, and the forward machinery
+  re-homed, split, merged or rename-pinned directory), the client-side
+  :class:`ShardRouter` with its load counters, and the forward machinery
   (:class:`ResolveForward` / :class:`VinoForward`) with the service-side
   resolution hooks and read handlers.
 - :mod:`repro.core.shard.replication` — the replicated directory/symlink
@@ -24,11 +24,13 @@ subsystems (one module per concern):
   and bounded-staleness follower reads, with :class:`GroupTargets`
   keeping cross-shard coordination addressed to groups, never nodes.
 - :mod:`repro.core.shard.coordination` — 2-phase prepare/commit:
-  intent/prepare/dedup records, cross-shard rename and hard link, and the
-  crash-safe copy → import → purge population migration.
+  intent/prepare/dedup records, cross-shard rename and hard link, and
+  the replicated rename's skeleton flip, which pins a renamed subtree's
+  routing instead of moving its entries.
 - :mod:`repro.core.shard.rebalance` — online load-aware re-partitioning:
   one journaled ``route`` protocol behind re-home, split, merge and
-  forget, routing-map durability, and the :class:`Rebalancer` that
+  forget, run by the crash-safe copy → import → purge population
+  migration, routing-map durability, and the :class:`Rebalancer` that
   samples router load and migrates hot directories.
 - :mod:`repro.core.shard.recovery` — recovery of one shard or the whole
   tier: epoch bump + tier fence (recovery is safe against a *live* tier:

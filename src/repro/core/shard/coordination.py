@@ -8,10 +8,11 @@ The 2-phase prepare/commit layer of the sharded tier:
   each remote link-count drop so redo applies it exactly once.
 - **Cross-shard rename**: detach → ``rename_install`` (the commit point:
   its transaction carries the prepare record) → compensate on failure.
-  Renames of replicated objects replay on every shard and re-home file
-  children via the copy → import → purge migration triple — the same
-  crash-safe primitive the online re-balancer reuses
-  (:mod:`repro.core.shard.rebalance`).
+  Renames of replicated objects are a two-phase skeleton flip replayed
+  on every shard (``docs/rename-visibility.md``).  A renamed directory
+  moves names, never entries: each moved directory whose static owner
+  changes is *pinned* by a routing row where its entries already are,
+  and only load moves them later (:mod:`repro.core.shard.rebalance`).
 - **Cross-shard link**: intent before any remote bump; the coordinator's
   dentry-insert transaction atomically deletes the intent (the commit
   point); ``link_abort`` rolls an optimistic bump back.
@@ -94,11 +95,6 @@ class ShardCoordinationPart:
           coroutine to completion with ``tids`` deregistered however it
           exits (cross-shard rename and link, whose fence handling lives
           with their commit points).
-
-        The stage-intent helpers (:meth:`_stage_renamed_subtree`,
-        :meth:`_abort_stage`) stay hand-rolled on purpose: their tid must
-        outlive the helper that journaled it, which is exactly the
-        lifecycle this wrapper exists to forbid.
         """
         if run is not None:
             try:
@@ -564,47 +560,62 @@ class ShardCoordinationPart:
             txn.write("inodes", moved)
         return result
 
-    def _alias_routes(self, old, new):
-        """Mirror every routing key under ``old`` to ``new`` in the
-        shared in-memory routing map (pure python — no simulated
-        events), so entry routing by the staged name works tier-wide the
-        instant any replica serves it.  Returns the ``(old, new)`` key
-        pairs for the flip intent, so an abort — inline or recovery's —
-        can unalias exactly what was aliased."""
-        routes = self.sharding.routes
-        pairs = []
-        for path in list(routes):
-            if path == old or path.startswith(old + "/"):
-                dest = new + path[len(old):]
-                if dest not in routes:
-                    routes[dest] = routes[path]
-                    pairs.append([path, dest])
-        return pairs
+    def _txn_renamed_routes(self, txn, vino, old, new):
+        """Txn fragment: the routing rows directory ``vino``'s subtree
+        needs under ``new``, so a rename moves no entry.
 
-    def _unalias_routes(self, pairs):
-        """Drop staged routing aliases (abort path).  Guarded on the old
-        key still being canonical: after a committed flip the re-key
-        moved it, and a late abort must not blind routing."""
-        routes = self.sharding.routes
-        for old_key, new_key in pairs or ():
-            route = routes.get(old_key)
-            if route is not None and routes.get(new_key) == route:
-                routes.pop(new_key, None)
+        Partitioning is by path, so a rename changes the static owner of
+        every moved directory whose new path hashes (or prefixes)
+        elsewhere.  Instead of moving its entries — the cost HopsFS
+        sidesteps by partitioning on immutable inode ids — every moved
+        directory keeps routing where its entries are: a routed one
+        carries its row (a split places by name hash, a re-home keeps
+        its home), and an unrouted one whose static owner changes is
+        *pinned* by a row ``(owner, [owner])``.  The commit transaction
+        walks the subtree once, so the walk includes every directory
+        created under either name while the flip was in flight.  Returns
+        ``[path, owner, shards]`` rows; only load moves entries
+        afterwards, through the verified flip of
+        :mod:`repro.core.shard.rebalance`.
+        """
+        sharding, rows = self.sharding, []
+        frontier = [(vino, old, new)]
+        while frontier:
+            dvino, old_path, new_path = frontier.pop()
+            route, path = sharding.route_of(old_path)
+            if route is None:
+                owner = sharding.static_shard_of_dir(path, self.n_shards)
+                if owner != sharding.static_shard_of_dir(
+                        new_path, self.n_shards):
+                    route = (owner, (owner,))
+            if route is not None:
+                rows.append([new_path, route[0], list(route[1])])
+            for dentry in txn.index_read("dentries", "parent", dvino):
+                if dentry.get("home") is not None \
+                        or dentry.get("staged") is not None:
+                    continue
+                row = txn.read("inodes", dentry["vino"])
+                if row is not None and row["kind"] == DIRECTORY:
+                    frontier.append((dentry["vino"],
+                                     f"{old_path}/{dentry['name']}",
+                                     f"{new_path}/{dentry['name']}"))
+        return rows
 
-    def _abort_flip(self, flip_tid, new, seq, vino, parts, stamp):
+    def _abort_flip(self, flip_tid, new, seq, vino, stamp):
         """Coroutine: unwind phase 1 of a skeleton flip.
 
         Remote aliases die first (seq-guarded unstage broadcast), then
-        the local alias and the flip intent in one transaction, then the
-        in-memory routing aliases — so no instant leaves a replica
-        serving a new name the tier can no longer route.  Shared with
-        recovery's :meth:`redo_flip`.
+        the local alias, the flip intent and the flip's routing alias in
+        one transaction — so no instant leaves a replica serving a new
+        name the tier can no longer route.  Shared with recovery's
+        :meth:`redo_flip`.
         """
         try:
             yield from self._broadcast(
                 "mirror_rename_unstage", new, seq, vino, stamp=stamp)
 
             def body(txn):
+                self.sharding.renaming.pop(flip_tid, None)
                 if txn.read("intents", flip_tid) is None:
                     return False
                 self._txn_gc_alias(txn, new, seq, vino)
@@ -612,7 +623,6 @@ class ShardCoordinationPart:
                 return True
 
             yield from self.dbsvc.execute(self._local_body(body))
-            self._unalias_routes(parts)
         except (EpochFenced, MemberDown):
             pass  # the surviving flip intent hands cleanup to recovery
         finally:
@@ -627,8 +637,7 @@ class ShardCoordinationPart:
         (seq-guarded, so a newer rename's state survives a replayed
         abort) and retire the intent."""
         yield from self._abort_flip(
-            rec["id"], rec["new"], rec["seq"], rec["vino"],
-            rec.get("parts"), self._stamp())
+            rec["id"], rec["new"], rec["seq"], rec["vino"], self._stamp())
         return True
 
     def _rename_replicated(self, kind, vino, old, new, dst, now, _hops,
@@ -680,32 +689,16 @@ class ShardCoordinationPart:
         stamp = self._stamp(epoch)
         norm_old, norm_new = normalize(old), normalize(new)
         seq = max(now, rseq + 1)
-        stage_plans, stage_tid = [], None
-        if kind == DIRECTORY:
-            # Pre-stage the subtree's re-homed file populations at their
-            # post-rename owners *before* any replica can serve the new
-            # name: keyed by (directory vino, name) — which a rename
-            # never changes — a staged copy is exactly where the renamed
-            # path routes, so the instant any shard's replica shows the
-            # new name its entries are already servable; no reader ever
-            # sees the transient ENOENT the old migrate-after-commit
-            # order allowed.  The stage intent is journaled before the
-            # copies ship and deleted atomically by the rename
-            # transaction below, so its survival proves the rename never
-            # committed and recovery (or the inline compensation) purges
-            # the strays.
-            stage_plans, stage_tid = yield from self._stage_renamed_subtree(
-                vino, old, new, epoch, stamp)
 
         # -- phase 1: stage -------------------------------------------------
-        # Alias a routed subtree's keys in the shared routing map
-        # first (pure python), then journal the flip intent
-        # atomically with this shard's alias dentry, then broadcast the
-        # alias.  From here to the commit both names resolve everywhere
-        # a stage landed; a refused stage (a newer flip's rseq won, or
-        # the destination is taken) just keeps that replica old-only.
-        parts = self._alias_routes(norm_old, norm_new) \
-            if kind == DIRECTORY else []
+        # One transaction journals the flip intent and plants this
+        # shard's alias dentry; then the alias is broadcast.  From here
+        # to the commit both names resolve everywhere a stage landed; a
+        # refused stage (a newer flip's rseq won, or the destination is
+        # taken) just keeps that replica old-only.  A renamed directory
+        # also gets a prefix alias in the shared routing map (pure
+        # python), so its new name routes every entry — of directories
+        # created meanwhile too — to where the old name places it.
         flip_tid = self._new_tid()
 
         def stage(txn):
@@ -716,14 +709,18 @@ class ShardCoordinationPart:
             prev = self._skip_owner_guard
             self._skip_owner_guard = True
             try:
-                self._txn_stage_alias(txn, norm_old, new, seq, vino)
+                planted = self._txn_stage_alias(
+                    txn, norm_old, new, seq, vino)
             finally:
                 self._skip_owner_guard = prev
             self._txn_intent(txn, epoch, {
                 "id": flip_tid, "role": "coord", "op": "rename_flip",
                 "old": old, "new": new, "seq": seq, "vino": vino,
-                "parts": parts,
             })
+            if planted and kind == DIRECTORY:
+                # Last: nothing in this body can raise after it.
+                self.sharding.renaming[flip_tid] = (
+                    norm_new, norm_old, vino, seq, epoch)
             return True
 
         staged = False
@@ -736,41 +733,30 @@ class ShardCoordinationPart:
             # Only the (atomically aborted) stage transaction forwards:
             # nothing was staged anywhere yet.
             self._done_tids([flip_tid])
-            self._unalias_routes(parts)
-            yield from self._abort_stage(stage_plans, stage_tid, stamp)
             if fwd.final:
                 yield from self._probe_dst_parent(fwd, _hops)
             retried = yield from self.rename(old, fwd.path, now, _hops + 1)
             return retried
         except EpochFenced:
             # Zombie coordinator: a journaled flip intent hands the
-            # unstage (and the routing unalias recorded in it) to
-            # recovery; a self-fenced stage transaction journaled
-            # nothing, so unwind the pure-memory aliases here.
+            # unstage (and the routing alias) to recovery; a self-fenced
+            # stage transaction journaled and aliased nothing.
             self._done_tids([flip_tid])
-            if not staged:
-                self._unalias_routes(parts)
-            if stage_tid is not None:
-                self._done_tids([stage_tid])
             raise
         except FsError:
             if staged:
                 yield from self._abort_flip(
-                    flip_tid, new, seq, vino, parts, stamp)
+                    flip_tid, new, seq, vino, stamp)
             else:
                 self._done_tids([flip_tid])
-                self._unalias_routes(parts)
-            yield from self._abort_stage(stage_plans, stage_tid, stamp)
             raise
         except BaseException:
             self._done_tids([flip_tid])
-            if stage_tid is not None:
-                self._done_tids([stage_tid])
             raise
 
         # -- phase 2: commit + retire ---------------------------------------
-        pending, rekeyed = [], []
-        tids = [flip_tid] + ([stage_tid] if stage_tid is not None else [])
+        pending, rows = [], []
+        tids = [flip_tid]
 
         def body(txn):
             prev = self._skip_owner_guard
@@ -786,33 +772,37 @@ class ShardCoordinationPart:
                 # ours to move.
                 raise FsError.enoent(old)
             txn.delete("intents", flip_tid)
-            if stage_tid is not None:
-                txn.delete("intents", stage_tid)
+            updates = []
             if kind == DIRECTORY:
-                # A routed directory under ``old`` keeps its entries in
-                # place (a split places by name hash, a re-home keeps
-                # its home); re-key its rows durably with the rename,
-                # and drop the row of the empty directory it replaces.
-                # The in-memory map follows in the tail, after the
-                # commit — a self-fenced body rolls the durable rekey
-                # back, and a mem rekey applied here would survive that
-                # abort and diverge the shared map.  The gap is covered:
-                # the phase-1 alias keeps both names routable until the
-                # tail runs.
-                rekeyed[:] = self._txn_rekey_routes(
-                    txn, norm_old, norm_new, now)
+                # No entry moves: the subtree's routing rows are computed
+                # in one walk and written durably with the rename.
+                rows[:] = self._txn_renamed_routes(
+                    txn, vino, norm_old, norm_new)
+                updates = self._txn_rekey_routes(
+                    txn, norm_old, norm_new, seq, rows)
             tids.append(self._txn_intent(txn, epoch, {
                 "id": self._new_tid(), "role": "coord",
                 "op": "rename_replicated", "kind": kind, "vino": vino,
                 "old": old, "new": new, "now": now, "seq": seq,
-                "pending": list(pending),
+                "pending": list(pending), "rows": list(rows),
             }))
+            # Last, so a fenced body rolls back with the shared map
+            # untouched: the map takes the committed rows and drops the
+            # routing alias of this flip — and of any older flip of the
+            # same directory, which can no longer commit here.  Until
+            # every replica retired the old name, the old name routes
+            # as the new one.
+            self._rekey_routes_mem(updates)
+            renaming = self.sharding.renaming
+            for tid, alias in list(renaming.items()):
+                if alias[2] == vino and alias[3] <= seq:
+                    del renaming[tid]
+            if kind == DIRECTORY:
+                renaming[tids[-1]] = (norm_old, norm_new, vino, seq, epoch)
             return result
 
         def on_forward(fwd):
-            yield from self._abort_flip(
-                flip_tid, new, seq, vino, parts, stamp)
-            yield from self._abort_stage(stage_plans, stage_tid, stamp)
+            yield from self._abort_flip(flip_tid, new, seq, vino, stamp)
             if fwd.final:
                 # Same pinning as the same-shard branch: only the
                 # entries owner can pronounce on the missing component.
@@ -823,33 +813,22 @@ class ShardCoordinationPart:
         def on_fserror(exc):
             # A fence never reaches here (the wrapper re-raises it
             # first): compensation RPCs would be refused too, and the
-            # surviving flip + stage intents hand the cleanup to
-            # recovery.
-            yield from self._abort_flip(
-                flip_tid, new, seq, vino, parts, stamp)
-            yield from self._abort_stage(stage_plans, stage_tid, stamp)
+            # surviving flip intent hands the cleanup to recovery.
+            yield from self._abort_flip(flip_tid, new, seq, vino, stamp)
             raise exc
 
         def tail(box):
             # Fenced past the commit point (the local flip + intent are
-            # durable): recovery's redo re-broadcasts the retires and
-            # re-migrates.
-            if rekeyed:
-                # Pure python, before any yield: the shared routing map
-                # catches up with the committed durable rekey (recovery
-                # rebuilds it from the rows if a crash lands first).
-                self._rekey_routes_mem(rekeyed)
-                del rekeyed[:]
+            # durable): recovery's redo re-broadcasts the retires.
             tid = tids[-1]
             drained = yield from self._drain_pending(pending, now, tid, stamp)
             box[0] = self._merge_replaced(box[0], drained)
             mirrored = yield from self._broadcast(
-                "mirror_rename", old, new, now, seq, vino, stamp=stamp)
+                "mirror_rename", old, new, now, seq, vino, rows,
+                stamp=stamp)
             box[0] = self._merge_replaced(
                 box[0], [m for m in mirrored if m is not None])
-            if kind == DIRECTORY:
-                yield from self._migrate_renamed_subtree(
-                    vino, old, new, now, stamp)
+            self.sharding.renaming.pop(tid, None)
             yield from self.intent_forget(tid)
             yield from self._forget_dedups(tid, pending)
 
@@ -857,7 +836,7 @@ class ShardCoordinationPart:
             tids, body=body, tail=tail,
             on_forward=on_forward, on_fserror=on_fserror))
 
-    def mirror_rename(self, old, new, now, seq, vino, stamp=None):
+    def mirror_rename(self, old, new, now, seq, vino, rows, stamp=None):
         """RPC (shard-to-shard): retire a replicated rename's old name.
 
         Phase 2 of the skeleton flip: the staged alias (phase 1) already
@@ -866,7 +845,11 @@ class ShardCoordinationPart:
         instant resolves old, new, or both, never neither.  Newest-seq
         wins (the per-replica ``rseq`` high-water mark on the moving
         inode) makes replays idempotent and lets chained renames land in
-        any order; a stale retire only collects its own staged alias.
+        any order; a stale retire only collects its own staged alias and
+        the old name's routing rows older than its seq.  ``rows`` are
+        the coordinator's routing rows for the moved subtree
+        (see :meth:`_txn_renamed_routes`): every replica writes the same
+        rows, whatever its own table held under the old name.
 
         A replay that replaces a stub queues a remote link-count drop;
         that drop gets its own intent here (this shard coordinates it),
@@ -882,19 +865,23 @@ class ShardCoordinationPart:
             self._check_stamp(stamp)
             result = self._txn_flip_apply(
                 txn, normalize(old), new, now, seq, vino, pending)
+            # The routing rows land with the replay (the coordinator
+            # wrote its own atomically with the rename).  A stale retire
+            # still drops the old name's durable rows — a chained rename
+            # retired out of order here skipped them; the shared map
+            # lost them at this flip's commit.
+            updates = self._txn_rekey_routes(
+                txn, normalize(old), normalize(new), seq,
+                None if result is None else rows)
             if result is None:
                 return (None, False)
-            # This replica's routing rows re-key with its replay (the
-            # coordinator re-keyed its own atomically with the rename);
-            # a no-op for symlink renames and unrouted subtrees.
-            self._rekey_routes_mem(self._txn_rekey_routes(
-                txn, normalize(old), normalize(new), now))
             if pending:
                 tids.append(self._txn_intent(txn, epoch, {
                     "id": self._new_tid(), "role": "coord",
                     "op": "rename_post", "new": new, "now": now,
                     "pending": list(pending), "replaced_symlink": False,
                 }))
+            self._rekey_routes_mem(updates)  # last: nothing raises after
             return result
 
         def tail(box):
@@ -911,270 +898,6 @@ class ShardCoordinationPart:
         return (yield from self._coordinated(
             tids, body=body, tail=tail, local=True,
             on_fserror=lambda exc: (None, False)))
-
-    # -- subtree migration (copy → import → purge) --------------------------
-
-    def _txn_subtree_dirs(self, txn, vino, old, new):
-        """Txn fragment: every directory of ``vino``'s subtree, listed as
-        ``(old_path, new_path, dir_vino)`` under both name mappings."""
-        found = [(old, new, vino)]
-        frontier = [(vino, old, new)]
-        while frontier:
-            dvino, old_path, new_path = frontier.pop()
-            for dentry in txn.index_read("dentries", "parent", dvino):
-                if dentry.get("home") is not None:
-                    continue
-                row = txn.read("inodes", dentry["vino"])
-                if row is not None and row["kind"] == DIRECTORY:
-                    entry = (f"{old_path}/{dentry['name']}",
-                             f"{new_path}/{dentry['name']}",
-                             dentry["vino"])
-                    found.append(entry)
-                    frontier.append((dentry["vino"], entry[0], entry[1]))
-        return found
-
-    def _stage_renamed_subtree(self, vino, old, new, epoch, stamp):
-        """Coroutine: pre-copy re-homed subtree populations to their
-        post-rename owners, under a durable ``stage`` intent.
-
-        Routed directories are skipped (their routing rows re-key with
-        the rename, so their entries stay put), as are directories whose
-        owner is unchanged.  Every other directory arrives unrouted (the
-        rename drops the row of the empty directory it replaces), so its
-        post-rename owner is the static one.  The copies are invisible
-        until the rename commits — routing still names the sources — and
-        the stage intent (journaled before any copy ships, deleted
-        atomically by the rename transaction) guarantees a crash or
-        abort leaves :meth:`redo_stage` enough to purge them.  Returns
-        ``(plans, stage_tid)``.
-        """
-        norm_old, norm_new = normalize(old), normalize(new)
-
-        def collect(txn):
-            return self._txn_subtree_dirs(txn, vino, norm_old, norm_new)
-
-        dirs = yield from self.dbsvc.execute(self._local_body(collect))
-        plans = []
-        for old_path, new_path, dvino in dirs:
-            if normalize(old_path) in self.sharding.routes:
-                continue
-            src = self._dir_owner(old_path)
-            dst = self.sharding.static_shard_of_dir(new_path, self.n_shards)
-            if src != dst:
-                plans.append((dvino, src, dst))
-        if not plans:
-            return [], None
-        tid = self._new_tid()
-
-        def intent(txn):
-            self._txn_intent(txn, epoch, {
-                "id": tid, "role": "coord", "op": "stage", "vino": vino,
-                "plans": [[dvino, dst] for dvino, _src, dst in plans],
-            })
-            return True
-
-        try:
-            yield from self.dbsvc.execute(intent)
-            for dvino, src, dst in plans:
-                dentries, inodes = yield from self._call_shard(
-                    src, "copy_dir_children", dvino, stamp)
-                if dentries:
-                    yield from self._call_shard(
-                        dst, "import_dir_children", dvino, dentries,
-                        inodes, stamp)
-        except BaseException:
-            self._done_tids([tid])
-            raise
-        return [(dvino, dst) for dvino, _src, dst in plans], tid
-
-    def _abort_stage(self, plans, stage_tid, stamp):
-        """Coroutine: unwind staged subtree copies after an aborted rename.
-
-        The destinations are (still) not the owners of anything under
-        the staged directories, so every file entry they hold there is a
-        stray — our staged copy, or an older migration's not-yet-purged
-        leftover — and re-listing then purging cleans both.  Shared with
-        recovery's :meth:`redo_stage`.
-        """
-        if stage_tid is None:
-            return False
-        try:
-            for dvino, dst in plans:
-                dentries, inodes = yield from self._call_shard(
-                    dst, "copy_dir_children", dvino, stamp)
-                if dentries:
-                    yield from self._call_shard(
-                        dst, "purge_dir_children", dvino,
-                        [d["key"] for d in dentries],
-                        [r["vino"] for r in inodes], stamp)
-            yield from self.intent_forget(stage_tid)
-        except EpochFenced:
-            pass  # the surviving stage intent hands cleanup to recovery
-        finally:
-            self._done_tids([stage_tid])
-        return True
-
-    def redo_stage(self, rec):
-        """Coroutine: resolve a surviving ``stage`` intent — by aborting.
-
-        The rename transaction deletes its stage intent atomically with
-        the rename itself, so this record's survival proves the rename
-        never committed: purge the pre-staged copies at the planned
-        destinations and retire the intent.
-        """
-        plans = [tuple(plan) for plan in rec["plans"]]
-        yield from self._abort_stage(plans, rec["id"], self._stamp())
-        return True
-
-    def _migrate_renamed_subtree(self, vino, old, new, now, stamp=None):
-        """Coroutine: converge file children after a directory rename.
-
-        Partitioning is by *path*, so renaming a directory may change the
-        owner of its (and every descendant directory's) file entries — the
-        well-known cost of path-based partitioning that HopsFS sidesteps by
-        hashing immutable inode ids.  The rename pre-staged each re-homed
-        population at its destination (:meth:`_stage_renamed_subtree`),
-        so this post-commit pass is catch-up and cleanup: one more
-        copy → import round picks up entries created between the staging
-        snapshot and the rename commit, and the purge then drops the
-        source copies.  Copy-then-delete (rather than the destructive
-        export this replaced) means a crash between the RPCs never loses
-        entries: they transiently exist on both shards (the merged
-        readdir dedups by name), and re-running the migration
-        (recovery's intent roll-forward does) converges — import skips
-        keys it already holds, purge deletes only what the copy listed.
-        Routed directories are skipped: their rows were re-keyed by the
-        rename and their entries never move (the replaced directory's
-        row is gone, so every row under ``new`` is a re-keyed one).
-        """
-
-        def collect(txn):
-            return self._txn_subtree_dirs(txn, vino, old, new)
-
-        dirs = yield from self.dbsvc.execute(collect)
-        for old_path, new_path, dvino in dirs:
-            if normalize(new_path) in self.sharding.routes:
-                continue
-            src = self._dir_owner(old_path)
-            dst = self._dir_owner(new_path)
-            if src == dst:
-                continue
-            dentries, inodes = yield from self._call_shard(
-                src, "copy_dir_children", dvino, stamp)
-            if dentries:
-                yield from self._call_shard(
-                    dst, "import_dir_children", dvino, dentries, inodes,
-                    stamp)
-                yield from self._call_shard(
-                    src, "purge_dir_children", dvino,
-                    [d["key"] for d in dentries],
-                    [r["vino"] for r in inodes], stamp)
-
-    def _txn_collect_children(self, txn, vino):
-        """Txn fragment: this shard's movable entries of directory ``vino``.
-
-        ``(dentry, inode)`` pairs shaped exactly as
-        :meth:`import_dir_children` consumes them: replicated skeleton
-        children (directories, symlinks) are excluded, a hard-linked
-        file's inode stays home behind a stub (``inode`` is None), and
-        pre-existing stubs travel as-is.  Read-only — shared between the
-        copy RPC and the verified-flip transaction's straggler scan
-        (:meth:`~repro.core.shard.rebalance.ShardRebalancePart.
-        _verified_flip`), so placement and its atomic proof can never
-        disagree about what counts as movable.
-        """
-        pairs = []
-        for dentry in txn.index_read("dentries", "parent", vino):
-            dentry = dict(dentry)
-            # A mid-flight cross-shard rename's retiring marker is local
-            # bookkeeping; a migrated copy must not carry it (the source
-            # retire is marker-guarded and the abort falls back to
-            # re-attaching when the ghost moved away).
-            dentry.pop("retiring", None)
-            inode = None
-            if dentry.get("home") is None:
-                row = txn.read("inodes", dentry["vino"])
-                if row is None or row["kind"] != FILE:
-                    continue  # replicated skeleton stays put
-                if row["nlink"] > 1:
-                    # Hard-linked under other names: the inode stays
-                    # home (see _rename_cross_shard's detach); only
-                    # the name moves, shipped as a stub back here.
-                    dentry["home"] = self.shard_id
-                else:
-                    inode = dict(row)
-            pairs.append((dentry, inode))
-        return pairs
-
-    def copy_dir_children(self, vino, stamp=None):
-        """RPC (shard-to-shard): read a directory's file entries here.
-
-        Read-only: the entries stay until :meth:`purge_dir_children`
-        confirms the destination holds them, so no crash point between
-        the migration RPCs can lose an entry.
-        """
-        yield from self._dispatch()
-        self._check_stamp(stamp)
-
-        def body(txn):
-            dentries, inodes = [], []
-            for dentry, inode in self._txn_collect_children(txn, vino):
-                dentries.append(dentry)
-                if inode is not None:
-                    inodes.append(inode)
-            return (dentries, inodes)
-
-        result = yield from self.dbsvc.execute(body)
-        return result
-
-    def import_dir_children(self, vino, dentries, inodes, stamp=None):
-        """RPC (shard-to-shard): adopt re-homed file entries (idempotent)."""
-        yield from self._dispatch()
-
-        def body(txn):
-            self._check_stamp(stamp)
-            for row in inodes:
-                if txn.read("inodes", row["vino"]) is None:
-                    txn.insert("inodes", dict(row))
-                    if row["upath"]:
-                        self._txn_bucket_adjust(txn, row["upath"], 1)
-            for dentry in dentries:
-                dentry = dict(dentry)
-                if dentry.get("home") == self.shard_id:
-                    del dentry["home"]  # the stub came home
-                if txn.read("dentries", tuple(dentry["key"])) is None:
-                    txn.insert("dentries", dentry)
-            self._invalidate_resolve(vino)
-            return True
-
-        result = yield from self.dbsvc.execute(body)
-        return result
-
-    def purge_dir_children(self, vino, keys, vinos, stamp=None):
-        """RPC (shard-to-shard): drop migrated entries once the new owner
-        holds them (idempotent: deletes only what is still here)."""
-        yield from self._dispatch()
-
-        def body(txn):
-            self._check_stamp(stamp)
-            changed = False
-            for key in keys:
-                if txn.read("dentries", tuple(key)) is not None:
-                    txn.delete("dentries", tuple(key))
-                    changed = True
-            for moved in vinos:
-                row = txn.read("inodes", moved)
-                if row is not None and row["kind"] == FILE:
-                    txn.delete("inodes", moved)
-                    if row["upath"]:
-                        self._txn_bucket_adjust(txn, row["upath"], -1)
-                    changed = True
-            if changed:
-                self._invalidate_resolve(vino)
-            return changed
-
-        result = yield from self.dbsvc.execute(body)
-        return result
 
     # -- cross-shard file rename --------------------------------------------
 

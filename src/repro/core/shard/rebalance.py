@@ -16,8 +16,10 @@ its static rule
 (:attr:`repro.core.shard.routing.ShardingPolicy.routes`): a re-home
 writes ``(dst, [dst])``, a split ``(owner, targets)``, a merge
 ``(owner, [owner])`` and a forget ``(static owner, [static owner])``.
-rmdir drops the row; a rename re-keys it, and drops the row of the
-empty directory it replaces (:mod:`repro.core.shard.coordination`).
+rmdir drops the row; a rename carries it to the new name, drops the
+row of the empty directory it replaces, and *pins* each moved
+directory whose static owner changes at ``(owner, [owner])``, so
+renames move no entry (:mod:`repro.core.shard.coordination`).
 
 **Protocol** (:meth:`ShardRebalancePart._route`, behind
 :meth:`~ShardRebalancePart.rebalance_dir`, :meth:`split_dir`,
@@ -25,8 +27,8 @@ empty directory it replaces (:mod:`repro.core.shard.coordination`).
 owner): one transaction journals a ``route`` intent holding the new row
 and the pre-flip *sources* (the shards that may hold entries now); the
 population then moves with the crash-safe copy → import → purge triple
-that subtree migration uses (:mod:`repro.core.shard.coordination`) — but
-the routing flip is *last*, not first, and it is **verified**: the flip
+(the tier's only migration engine: renames pin instead), and the routing
+flip is *last*, not first, and **verified**: the flip
 transaction re-scans the local directory and commits the durable routing
 row (plus the shared in-memory map, inside the same atomic body) only
 when every entry assigned away has already been imported at its
@@ -66,11 +68,13 @@ verification — an entry created on another source during staging is
 invisible between the flip and the post-flip catch-up round (bounded:
 one copy→import round later it is servable; never lost).  A ``setattr``
 that lands on the source between copy and purge is lost with the purged
-copy (leaf attribute walks carry no ownership re-check).  Both windows
-exist only for entries mutated *during* a migration; anything that
-existed when the migration began is continuously visible.  A split
-directory can be neither re-homed nor forgotten (EINVAL): its entries
-have no single source to move, so it is merged first.
+copy (leaf attribute walks carry no ownership re-check); the racer
+drills of ``tests/core/test_crash_points.py`` pin that loss as an
+expected failure.  Both windows exist only for entries mutated *during*
+a migration; anything that existed when the migration began is
+continuously visible.  A split directory can be neither re-homed nor
+forgotten (EINVAL): its entries have no single source to move, so it is
+merged first.
 
 **Policy** (:class:`Rebalancer`): the client-side routers already
 compute the (directory → shard) decision for every op and keep
@@ -89,7 +93,7 @@ the tier re-partitions continuously without an administrative call.
 from repro import obs
 from repro.core.shard.routing import EpochFenced, entry_slot
 from repro.pfs.errors import FsError
-from repro.pfs.types import DIRECTORY, normalize
+from repro.pfs.types import DIRECTORY, FILE, normalize
 
 
 class ShardRebalancePart:
@@ -364,6 +368,114 @@ class ShardRebalancePart:
         yield from self.intent_forget(rec["id"])
         return True
 
+    # -- the migration triple (copy → import → purge) -----------------------
+
+    def _txn_collect_children(self, txn, vino):
+        """Txn fragment: this shard's movable entries of directory ``vino``.
+
+        ``(dentry, inode)`` pairs shaped exactly as
+        :meth:`import_dir_children` consumes them: replicated skeleton
+        children (directories, symlinks) are excluded, a hard-linked
+        file's inode stays home behind a stub (``inode`` is None), and
+        pre-existing stubs travel as-is.  Read-only — shared between the
+        copy RPC and the verified-flip transaction's straggler scan
+        (:meth:`_verified_flip`), so placement and its atomic proof can
+        never disagree about what counts as movable.
+        """
+        pairs = []
+        for dentry in txn.index_read("dentries", "parent", vino):
+            dentry = dict(dentry)
+            # A mid-flight cross-shard rename's retiring marker is local
+            # bookkeeping; a migrated copy must not carry it (the source
+            # retire is marker-guarded and the abort falls back to
+            # re-attaching when the ghost moved away).
+            dentry.pop("retiring", None)
+            inode = None
+            if dentry.get("home") is None:
+                row = txn.read("inodes", dentry["vino"])
+                if row is None or row["kind"] != FILE:
+                    continue  # replicated skeleton stays put
+                if row["nlink"] > 1:
+                    # Hard-linked under other names: the inode stays
+                    # home (see _rename_cross_shard's detach); only
+                    # the name moves, shipped as a stub back here.
+                    dentry["home"] = self.shard_id
+                else:
+                    inode = dict(row)
+            pairs.append((dentry, inode))
+        return pairs
+
+    def copy_dir_children(self, vino, stamp=None):
+        """RPC (shard-to-shard): read a directory's file entries here.
+
+        Read-only: the entries stay until :meth:`purge_dir_children`
+        confirms the destination holds them, so no crash point between
+        the migration RPCs can lose an entry.
+        """
+        yield from self._dispatch()
+        self._check_stamp(stamp)
+
+        def body(txn):
+            dentries, inodes = [], []
+            for dentry, inode in self._txn_collect_children(txn, vino):
+                dentries.append(dentry)
+                if inode is not None:
+                    inodes.append(inode)
+            return (dentries, inodes)
+
+        result = yield from self.dbsvc.execute(body)
+        return result
+
+    def import_dir_children(self, vino, dentries, inodes, stamp=None):
+        """RPC (shard-to-shard): adopt re-homed file entries (idempotent)."""
+        yield from self._dispatch()
+
+        def body(txn):
+            self._check_stamp(stamp)
+            for row in inodes:
+                if txn.read("inodes", row["vino"]) is None:
+                    txn.insert("inodes", dict(row))
+                    if row["upath"]:
+                        self._txn_bucket_adjust(txn, row["upath"], 1)
+            for dentry in dentries:
+                dentry = dict(dentry)
+                if dentry.get("home") == self.shard_id:
+                    del dentry["home"]  # the stub came home
+                if txn.read("dentries", tuple(dentry["key"])) is None:
+                    txn.insert("dentries", dentry)
+            self._invalidate_resolve(vino)
+            return True
+
+        result = yield from self.dbsvc.execute(body)
+        return result
+
+    def purge_dir_children(self, vino, keys, vinos, stamp=None):
+        """RPC (shard-to-shard): drop migrated entries once the new owner
+        holds them (idempotent: deletes only what is still here)."""
+        yield from self._dispatch()
+
+        def body(txn):
+            self._check_stamp(stamp)
+            changed = False
+            for key in keys:
+                if txn.read("dentries", tuple(key)) is not None:
+                    txn.delete("dentries", tuple(key))
+                    changed = True
+            for moved in vinos:
+                row = txn.read("inodes", moved)
+                if row is not None and row["kind"] == FILE:
+                    txn.delete("inodes", moved)
+                    if row["upath"]:
+                        self._txn_bucket_adjust(txn, row["upath"], -1)
+                    changed = True
+            if changed:
+                self._invalidate_resolve(vino)
+            return changed
+
+        result = yield from self.dbsvc.execute(body)
+        return result
+
+
     # -- the durable routing rows -------------------------------------------
 
     @staticmethod
@@ -402,44 +514,43 @@ class ShardRebalancePart:
             self.sharding.routes[dir_path] = (owner, tuple(shards))
         return result
 
-    def _txn_rekey_routes(self, txn, old, new, now):
-        """Txn fragment: move routing rows under ``old`` to ``new``.
+    def _txn_rekey_routes(self, txn, old, new, seq, rows):
+        """Txn fragment: a directory rename's routing rows.
 
-        Entry placement hashes only names, and a re-homed directory
-        keeps its home, so renaming a routed directory (or an ancestor
-        of one) re-keys its row and moves nothing.  A row at ``new``
-        that no re-keyed row replaces belongs to the empty directory
-        the rename destroys: it dies with it, newest-seq-wins as rmdir
-        drops it, so the renamed directory routes by its own rows or
-        the static rule.  Returns ``(old_path, new_path)`` pairs for
-        the in-memory map — ``new_path`` None for the drop — which the
-        caller applies once the transaction commits (and each
-        replica's replay re-keys its own durable rows).
+        Every row under ``old`` older than the rename's ``seq`` dies with
+        the old name.  Then, unless ``rows`` is None (a stale retire: a
+        newer rename of the directory applied here first and wrote its
+        own rows), a row at ``new`` the rename does not carry dies too —
+        it belongs to the empty directory the rename destroys, as rmdir
+        drops it — and the coordinator's ``rows`` ``[path, owner,
+        shards]`` for the moved subtree are written at ``seq``,
+        newest-seq-wins: the same rows on every replica, whatever its
+        own table held.  Returns ``(path, route)`` updates for the
+        in-memory map — ``route`` None for a drop — which the caller
+        applies once nothing in its transaction body can raise.
         """
-        moved, replaced = [], False
+        carried = {row[0] for row in rows or ()}
+        updates = []
         for row in list(txn.match("routes")):
             path = row["path"]
-            if path == old or path.startswith(old + "/"):
-                dest = new + path[len(old):]
+            if row["seq"] < seq and (
+                    path == old or path.startswith(old + "/")
+                    or (rows is not None and path == new
+                        and path not in carried)):
                 txn.delete("routes", path)
-                row = dict(row)
-                row["path"] = dest
-                txn.write("routes", row)
-                moved.append((path, dest))
-            elif path == new:
-                replaced = row["seq"] <= now
-        if replaced and all(dest != new for _path, dest in moved):
-            txn.delete("routes", new)
-            moved.append((new, None))
-        return moved
+                updates.append((path, None))
+        for path, owner, shards in rows or ():
+            if self._txn_write_route(txn, path, owner, shards, seq):
+                updates.append((path, (owner, tuple(shards))))
+        return updates
 
-    def _rekey_routes_mem(self, moved):
-        """Apply re-keyed (or dropped) routing paths to the shared
-        in-memory map."""
-        for old_path, new_path in moved:
-            route = self.sharding.routes.pop(old_path, None)
-            if route is not None and new_path is not None:
-                self.sharding.routes[new_path] = route
+    def _rekey_routes_mem(self, updates):
+        """Apply a rename's routing updates to the shared in-memory map."""
+        for path, route in updates:
+            if route is None:
+                self.sharding.routes.pop(path, None)
+            else:
+                self.sharding.routes[path] = route
 
     # -- recovery ----------------------------------------------------------
 

@@ -703,6 +703,13 @@ class ShardRecoveryPart:
             if verdict:
                 yield from self._call_shard(shard, "intent_forget",
                                             rec["id"])
+        # A flip whose record an asynchronous journal lost leaves its
+        # routing alias with nothing to drop it: drop every alias a
+        # fenced coordinator registered (a live flip's epoch is newer).
+        renaming = self.sharding.renaming
+        for tid, alias in list(renaming.items()):
+            if alias[4] < dead.get(self._coord_of(tid), 0):
+                del renaming[tid]
         return True
 
     def _abandoned(self, rec, dead, cache):
@@ -791,16 +798,14 @@ class ShardRecoveryPart:
                 pending, rec["now"], rec["id"], stamp)
             yield from self._broadcast(
                 "mirror_rename", rec["old"], rec["new"], rec["now"],
-                rec.get("seq", rec["now"]), rec["vino"])
-            if rec["kind"] == DIRECTORY:
-                yield from self._migrate_renamed_subtree(
-                    rec["vino"], rec["old"], rec["new"], rec["now"], stamp)
+                rec["seq"], rec["vino"], rec["rows"])
+            self.sharding.renaming.pop(rec["id"], None)
             yield from self.intent_forget(rec["id"])
             yield from self._forget_dedups(rec["id"], pending)
         elif op == "rename_flip":
             # The flip record survived ⟺ its commit transaction (which
             # deletes it) never ran: abort — unstage the alias everywhere
-            # and drop the routing-map alias keys.
+            # and drop the flip's routing alias.
             yield from self.redo_flip(rec)
         elif op == "unlink_stub":
             dedup = self._dedup_id(rec["id"], rec["vino"])
@@ -811,8 +816,6 @@ class ShardRecoveryPart:
             yield from self._peer(rec["home"], "intent_forget", dedup)
         elif op == "route":
             yield from self.redo_route(rec)
-        elif op == "stage":
-            yield from self.redo_stage(rec)
         return True
 
     def retire_rename_part(self, tid, stamp=None):

@@ -7,8 +7,9 @@ tier:
   :class:`SubtreeSharding` — the partition function (which shard owns a
   directory's entries), with the *routing map* consulted first: one
   ``path → (owner, shards)`` row per directory the online re-balancer
-  (:mod:`repro.core.shard.rebalance`) re-homed, split or merged, so the
-  base policy stays static while ownership follows load.
+  (:mod:`repro.core.shard.rebalance`) re-homed, split or merged, or a
+  rename pinned, so the base policy stays static while ownership
+  follows load and renames move no entry.
 - :class:`ShardRouter` — the client-side replacement for the single-target
   :class:`~repro.core.metadriver.MetadataDriver`, routing each op by path
   (or learned vino home), and keeping per-shard / per-directory load
@@ -111,7 +112,8 @@ class ShardingPolicy:
 
     ``routes`` is the routing map: a normalized directory path maps to
     ``(owner, shards)``, written by every routing change (re-home,
-    split, merge, forget — see :mod:`repro.core.shard.rebalance`).
+    split, merge, forget — see :mod:`repro.core.shard.rebalance`) and
+    by a rename's pins (:mod:`repro.core.shard.coordination`).
     ``owner`` is the directory's whole-directory owner (its times and
     getattr, further routing changes); ``shards`` the tuple its entries
     are hash-partitioned across by name (GIGA+-style — one element for
@@ -120,10 +122,40 @@ class ShardingPolicy:
     one stack (modeling the small replicated routing table a real tier
     pushes to its clients); the durable copy lives in each shard's
     ``routes`` table and is restored on recovery.
+
+    ``renaming`` holds one prefix alias per live directory rename, keyed
+    by its intent id: ``(src, dst, vino, seq, epoch)`` — a path under
+    ``src`` without a row of its own routes as the matching path under
+    ``dst`` (see :meth:`route_of`).  Until the rename commits, ``src``
+    is the new name and ``dst`` the old one, which places every entry
+    where it is; from the commit until every replica retired the old
+    name, the old name routes as the new one, whose rows the commit
+    wrote.  Both names thus agree on every entry throughout, including
+    entries of directories created under either name during the flip.
     """
 
     def __init__(self):
         self.routes = {}
+        self.renaming = {}
+
+    def route_of(self, norm):
+        """``(route, path)`` for normalized directory path ``norm``: the
+        routing row it routes by (None when the static rule applies) and
+        the path the static rule reads.  A path without a row that lies
+        under a live rename's aliased name is read as the matching path
+        under the other name, in turn for chained renames."""
+        route = self.routes.get(norm)
+        for _hop in range(len(self.renaming)):
+            if route is not None:
+                break
+            for src, dst, *_flip in self.renaming.values():
+                if norm == src or norm.startswith(src + "/"):
+                    norm = dst + norm[len(src):]
+                    break
+            else:
+                break
+            route = self.routes.get(norm)
+        return route, norm
 
     def shard_of_dir(self, dir_path, n_shards):
         """The shard (int in ``range(n_shards)``) owning ``dir_path``'s
@@ -132,6 +164,8 @@ class ShardingPolicy:
             return 0
         norm = normalize(dir_path)
         route = self.routes.get(norm)
+        if route is None and self.renaming:
+            route, norm = self.route_of(norm)
         if route is not None:
             return route[0] % n_shards
         return self._base_shard(norm, n_shards)
@@ -149,6 +183,8 @@ class ShardingPolicy:
             return 0
         norm = normalize(dir_path)
         route = self.routes.get(norm)
+        if route is None and self.renaming:
+            route, norm = self.route_of(norm)
         if route is None:
             return self._base_shard(norm, n_shards)
         fanout = route[1]
@@ -167,6 +203,8 @@ class ShardingPolicy:
             return (0,)
         norm = normalize(dir_path)
         route = self.routes.get(norm)
+        if route is None and self.renaming:
+            route, norm = self.route_of(norm)
         if route is None:
             return (self._base_shard(norm, n_shards),)
         seen = []
@@ -185,8 +223,9 @@ class ShardingPolicy:
     def static_shard_of_dir(self, dir_path, n_shards):
         """The shard the *static* rule names, ignoring the routing map.
 
-        The explicit bypass the forget protocol needs: it must know
-        where a directory's entries go once its re-homing is forgotten.
+        The explicit bypass the forget protocol needs (where a
+        directory's entries go once its re-homing is forgotten), and a
+        rename's pins (whether the new path's static owner differs).
         """
         if n_shards <= 1:
             return 0

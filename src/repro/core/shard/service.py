@@ -8,9 +8,11 @@ concrete service class:
 - :class:`~repro.core.shard.replication.ShardReplicationPart` — skeleton
   replication and (serial or overlapped) mirror broadcasts;
 - :class:`~repro.core.shard.coordination.ShardCoordinationPart` —
-  intent/prepare/dedup records, cross-shard rename/link, migration;
+  intent/prepare/dedup records, cross-shard rename/link, the skeleton
+  flip;
 - :class:`~repro.core.shard.rebalance.ShardRebalancePart` — online
-  load-aware re-partitioning over the routing map;
+  load-aware re-partitioning over the routing map, and the migration
+  it runs;
 - :class:`~repro.core.shard.recovery.ShardRecoveryPart` — crash recovery
   and the tier-wide repair passes;
 

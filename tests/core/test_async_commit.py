@@ -34,11 +34,13 @@ from repro.core.faults import (
     CrashInjected,
     CrashSchedule,
     arm_force_boundaries,
+    arm_shards,
     check_tier_invariants,
     disarm_force_boundaries,
+    disarm_shards,
     namespace_image,
 )
-from repro.core.shard import SubtreeSharding
+from repro.core.shard import SubtreeSharding, recover_tier
 from repro.db.service import DbConfig
 from repro.pfs.errors import FsError
 from tests.core.conftest import ShardedCofs
@@ -244,3 +246,48 @@ def test_crashed_node_refuses_acks_until_recovery():
     host.run(late_create())
     image = check_tier_invariants(host.shards, host.stack.sharding)
     assert "/a/late" in image
+
+
+def _rename_drill(arm, disarm, k=None):
+    """One directory rename on the async tier, crashed at boundary ``k``
+    of ``arm``'s kind (None: count only), then recovered: the subtree is
+    whole under one of its names and the tier passes its invariants —
+    among them, that no routing alias of the rename survives.  Returns
+    the boundary count."""
+    host = _build()
+    fs = host.mounts[0]
+
+    def setup():
+        for path in ("/a/d", "/a/d/e"):
+            yield from fs.mkdir(path)
+        fh = yield from fs.create("/a/d/e/f")
+        yield from fs.close(fh)
+
+    host.run(setup())
+    schedule = CrashSchedule(armed=k)
+    arm(host.shards, schedule)
+    try:
+        host.run(fs.rename("/a/d", "/b/d"))
+    except CrashInjected:
+        pass
+    disarm(host.shards)
+    if k is not None:
+        crashed = [s for s in host.shards if s.dbsvc._crashed is not None]
+        host.run(crashed[0].recover() if crashed
+                 else recover_tier(host.shards))
+    image = check_tier_invariants(host.shards, host.stack.sharding)
+    assert "/a/d/e/f" in image or "/b/d/e/f" in image, k
+    return schedule.count
+
+
+@pytest.mark.parametrize("boundaries", ["commit", "force"])
+def test_directory_rename_recovers_at_every_boundary(boundaries):
+    """A directory rename crashed at any commit or force boundary of the
+    async tier recovers whole.  A crash can lose the journal tail that
+    holds the flip's record, so recovery itself must drop the routing
+    alias the flip registered."""
+    arm, disarm = (arm_shards, disarm_shards) if boundaries == "commit" \
+        else (arm_force_boundaries, disarm_force_boundaries)
+    count = _rename_drill(arm, disarm)
+    for k in _selected(count):
+        _rename_drill(arm, disarm, k)

@@ -7,6 +7,8 @@ COFS-over-PFS; the observable outcomes — success/errno of every call, the
 final tree listing, attributes and file contents — must match exactly.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -474,4 +476,88 @@ def test_rename_storm_under_live_walkers_matches_single_shard():
         assert host.run(observe(host.mounts[0])) == ref_state, label
 
         from repro.core.faults import check_tier_invariants
+        check_tier_invariants(host.shards, host.stack.sharding)
+
+
+# ---------------------------------------------------------------------------
+# Rename ping-pong beside creates: no acknowledged create is ever lost
+# ---------------------------------------------------------------------------
+
+PING_PONG_DIRS = ["e", "e/g", "h"]
+PING_PONG_NAMES = ["/a/d", "/b/d"]
+
+
+def _ping_pong(seed, shards, parallel):
+    """Rename /a/d to /b/d and back, six times, beside two clients that
+    create files in its subdirectories through either name at random
+    instants.  Returns the host, the directory's final name and the
+    relative path of every create that succeeded."""
+    from repro.core.config import CofsConfig
+
+    rng = random.Random(seed)
+    host = ShardedCofs(n_clients=3, shards=shards,
+                       sharding=HashDirSharding(),
+                       cofs_config=CofsConfig(parallel_broadcasts=parallel))
+    fs = host.mounts
+
+    def setup():
+        for path in ["/a", "/b", "/a/d"] + [
+                f"/a/d/{sub}" for sub in PING_PONG_DIRS]:
+            yield from fs[0].mkdir(path)
+
+    host.run(setup())
+    landed = []
+
+    def renamer():
+        cur = 0
+        for _round in range(6):
+            yield host.sim.timeout(rng.uniform(0, 6))
+            try:
+                yield from fs[0].rename(PING_PONG_NAMES[cur],
+                                        PING_PONG_NAMES[1 - cur])
+                cur = 1 - cur
+            except FsError:
+                pass
+        return cur
+
+    def writer(client, tag):
+        for i in range(12):
+            yield host.sim.timeout(rng.uniform(0, 3))
+            rel = f"{rng.choice(PING_PONG_DIRS)}/{tag}{i}"
+            try:
+                fh = yield from fs[client].create(
+                    f"{rng.choice(PING_PONG_NAMES)}/{rel}")
+                yield from fs[client].close(fh)
+            except FsError:
+                continue
+            landed.append(rel)
+
+    final = host.run_all([renamer(), writer(1, "x"), writer(2, "y")])[0]
+    return host, PING_PONG_NAMES[final], landed
+
+
+@pytest.mark.parametrize("shards,parallel", [(3, False), (4, True)])
+def test_rename_ping_pong_beside_creates_loses_nothing(shards, parallel):
+    """Every create that succeeded while its directory's name flipped —
+    through the old name or the new one, before or after a commit, on a
+    replica that had or had not retired yet — is reachable under the
+    final name, and the tier passes its invariants.  Renames move no
+    entry, so both names must route each entry to the shard that holds
+    it for as long as any replica serves them."""
+    from repro.core.faults import check_tier_invariants
+
+    for seed in range(8):
+        host, final, landed = _ping_pong(seed, shards, parallel)
+        assert landed, seed
+
+        def lost():
+            missing = []
+            for rel in landed:
+                try:
+                    yield from host.mounts[0].stat(f"{final}/{rel}")
+                except FsError as exc:
+                    missing.append((rel, exc.code))
+            return missing
+
+        assert host.run(lost()) == [], seed
         check_tier_invariants(host.shards, host.stack.sharding)

@@ -11,7 +11,11 @@ oracle.
 
 import pytest
 
-from repro.core.faults import check_tier_invariants, namespace_image
+from repro.core.faults import (
+    check_group_invariants,
+    check_tier_invariants,
+    namespace_image,
+)
 from repro.core.shard import HashDirSharding, Rebalancer, SubtreeSharding
 from repro.core.shard.recovery import recover_tier
 from repro.core.shard.routing import entry_slot
@@ -194,6 +198,32 @@ def test_partitions_survive_tier_recovery(split2):
     assert host.stack.sharding.routes == {"/a": (0, (0, 1))}
     assert _observe(host) == before
     check_tier_invariants(host.shards, host.stack.sharding)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a split directory's time bump is written on its owner outside any "
+    "transaction, so log shipping never carries it to the backups"))
+def test_split_dir_times_reach_the_owners_backups():
+    """Creates served by a non-owner partition bump the split
+    directory's mtime/ctime on its owner; on a replicated tier that
+    bump must reach the owner's backups like any update, or
+    ``check_group_invariants`` fails on the owner's group.  Pinned as a
+    known defect: ``bump_dir_times`` writes the owner's inode row in
+    place, unjournaled (ROADMAP: journal split-directory times)."""
+    host = ShardedCofs(n_clients=1, shards=2, replicas=2,
+                       sharding=SubtreeSharding({"/a": 0}))
+    fs = host.mounts[0]
+    names = [name for name in (f"n{i}" for i in range(64))
+             if entry_slot(name, 2) == 1][:4]
+    host.run(fs.mkdir("/a"))
+    host.run(host.primaries[0].split_dir("/a", [0, 1], host.sim.now))
+
+    def creates():
+        for name in names:
+            yield from fs.mknod(f"/a/{name}")
+
+    host.run(creates())
+    check_group_invariants(host.groups)
 
 
 def test_rmdir_forgets_the_directorys_partitions():

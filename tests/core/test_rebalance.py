@@ -455,11 +455,12 @@ def test_rename_carries_a_rehomed_directorys_route(twelve):
 @pytest.mark.parametrize("flavour", ["rehomed", "forgotten", "split"])
 def test_rename_over_an_empty_routed_directory_drops_its_row(flavour):
     """A rename over an empty routed directory replaces it, so the
-    replaced directory's row dies with it, as on rmdir: the moved
-    population lands on the static owner of its new name, exactly once.
-    A surviving row made the migration skip the destination, leaving
-    the originals on their old shard (a re-homed or forgotten row) or
-    the staged copies where the name hash never looks (a split row)."""
+    replaced directory's row dies with it, as on rmdir.  The moved
+    population never moves: it stays on its shard, reached by the
+    static rule of its new name or, where that names another shard (the
+    forgotten flavour's /b/d), by the rename's pin.  A surviving row
+    would route the new name to the replaced directory's home, or — for
+    a split row — hash names to shards the population never reached."""
     host = ShardedCofs(sharding=SubtreeSharding({"/a": 0, "/b": 1}))
     fs = host.mounts[0]
     target = "/b/d" if flavour == "forgotten" else "/d"
@@ -491,9 +492,11 @@ def test_rename_over_an_empty_routed_directory_drops_its_row(flavour):
         return (yield from fs.readdir(target))
 
     assert host.run(rename_and_read()) == names
-    assert host.stack.sharding.routes == {}
+    home = host.stack.sharding.static_shard_of_dir("/x", 2)
+    rows = {} if home == static else {target: (home, (home,))}
+    assert host.stack.sharding.routes == rows
     for shard in host.shards:
-        assert host.route_rows(shard.shard_id) == {}
-    assert len(host.file_vinos(static)) == len(names)
-    assert host.file_vinos(1 - static) == set()
+        assert host.route_rows(shard.shard_id) == rows
+    assert len(host.file_vinos(home)) == len(names)
+    assert host.file_vinos(1 - home) == set()
     check_tier_invariants(host.shards, host.stack.sharding)

@@ -172,7 +172,7 @@ def test_stale_retire_replay_does_not_unrename():
     assert seq2 > seq1
 
     host.run(host.shards[1].mirror_rename(
-        "/a", "/b", host.sim.now, seq1, vino))
+        "/a", "/b", host.sim.now, seq1, vino, []))
     codes = _codes(host, ["/a", "/b", "/c"])
     assert codes == {"/a": "ENOENT", "/b": "ENOENT", "/c": "ok"}
     assert _inode(host, 1, vino).get("rseq", 0) == seq2

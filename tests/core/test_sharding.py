@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import build_flat_testbed
 from repro.bench.stack import CofsStack
+from repro.core.faults import check_tier_invariants
 from repro.core.metaservice import MetadataService
 from repro.core.shard import (
     HashDirSharding,
@@ -373,7 +374,9 @@ def test_hard_link_survives_cross_shard_rename_of_primary():
 
 
 def test_hard_link_survives_directory_rename_migration(split2):
-    """Subtree re-homing ships hard-linked files as stubs, not inodes."""
+    """A directory rename moves the hard-linked file's name with its
+    directory and neither its dentry nor its inode: the stub elsewhere
+    stays valid, and no link count leaks."""
     fs0 = split2.mounts[0]
 
     def main():
@@ -381,7 +384,7 @@ def test_hard_link_survives_directory_rename_migration(split2):
         fh = yield from fs0.create("/a/d/f")
         yield from fs0.close(fh)
         yield from fs0.link("/a/d/f", "/b/g")  # stub on shard 1, home 0
-        yield from fs0.rename("/a/d", "/b/d")  # re-homes /b/d's entries
+        yield from fs0.rename("/a/d", "/b/d")  # pins /b/d to shard 0
         f = yield from fs0.stat("/b/d/f")
         g = yield from fs0.stat("/b/g")
         return f, g
@@ -440,6 +443,258 @@ def test_directory_rename_replays_on_every_shard(split2):
     with pytest.raises(FsError) as err:
         split2.run(old_path())
     assert err.value.code == "ENOENT"
+
+
+#: a 17-directory subtree (/p, four children, three grandchildren each)
+#: with three files in every directory below /p: 48 files.
+SUBTREE = ["/p"] + [f"/p/d{i}" for i in range(4)] + [
+    f"/p/d{i}/e{j}" for i in range(4) for j in range(3)]
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_directory_rename_moves_no_entry(shards):
+    """A rename moves names, never entries: every shard keeps exactly
+    the file inodes it had, and each moved directory whose static owner
+    changed is pinned by one routing row to the shard holding its
+    entries.  Load can still move a pinned population later: forgetting
+    the pin sends it to its static owner."""
+    host = ShardedCofs(n_clients=1, shards=shards, sharding=HashDirSharding())
+    sharding = host.stack.sharding
+    fs = host.mounts[0]
+
+    def setup():
+        for path in SUBTREE:
+            yield from fs.mkdir(path)
+            if path != "/p":
+                for index in range(3):
+                    fh = yield from fs.create(f"{path}/f{index}")
+                    yield from fs.close(fh)
+
+    host.run(setup())
+    before = [host.file_vinos(shard) for shard in range(shards)]
+    assert sum(map(len, before)) == 48
+    pins = {}
+    for path in SUBTREE:
+        owner = sharding.static_shard_of_dir(path, shards)
+        moved = "/q" + path[len("/p"):]
+        if owner != sharding.static_shard_of_dir(moved, shards):
+            pins[moved] = (owner, (owner,))
+    assert pins
+
+    host.run(fs.rename("/p", "/q"))
+    assert [host.file_vinos(shard) for shard in range(shards)] == before
+    assert sharding.routes == pins
+    for shard in range(shards):
+        assert host.route_rows(shard) == pins
+    check_tier_invariants(host.shards, sharding)
+
+    for path, (owner, _shards) in sorted(pins.items()):
+        dvino = host.run(fs.stat(path)).ino
+        files = host.file_vinos(owner) & {
+            d["vino"] for d in host.shards[owner].db.table("dentries").all()
+            if d["parent"] == dvino}
+        host.run(host.shards[owner].forget_override(path, host.sim.now))
+        static = sharding.static_shard_of_dir(path, shards)
+        assert files <= host.file_vinos(static), path
+        assert not files & host.file_vinos(owner), path
+    for path in SUBTREE[1:]:
+        names = host.run(fs.readdir("/q" + path[len("/p"):]))
+        assert [n for n in names if n.startswith("f")] == ["f0", "f1", "f2"]
+    check_tier_invariants(host.shards, sharding)
+
+
+def _hold(host, shard, method, first_only=False):
+    """Delay ``method`` on ``shard`` by 100 ms (only its first call when
+    ``first_only``): holds a rename's broadcast window open there."""
+    real = getattr(shard, method)
+    calls = []
+
+    def held(*args):
+        calls.append(args)
+        if len(calls) == 1 or not first_only:
+            yield host.sim.timeout(100.0)
+        return (yield from real(*args))
+
+    setattr(shard, method, held)
+
+
+def _staged(shard):
+    """Whether ``shard`` holds a rename's staged alias dentry."""
+    return any(d.get("staged") is not None
+               for d in shard.db.table("dentries").all())
+
+
+def _until(host, cond):
+    """Coroutine: poll ``cond`` every 0.5 ms, for at most a second."""
+    for _tick in range(2000):
+        if cond():
+            return
+        yield host.sim.timeout(0.5)
+    raise AssertionError("the awaited state never came")
+
+
+def _mkdirs(fs, *paths):
+    for path in paths:
+        yield from fs.mkdir(path)
+
+
+def test_directory_created_under_a_moving_subtree_is_pinned():
+    """A directory created under the old name while the rename's flip
+    is in flight is pinned by the rename's commit like every other moved
+    directory, and entries created inside it through either name are
+    reachable under the new name afterwards: until the commit, the new
+    name routes as the old one.  Shard 2's stage is held back, so the
+    flip stays open while shard 1 — the static owner of /b/d/new —
+    already serves the new name."""
+    host = ShardedCofs(shards=3,
+                       sharding=SubtreeSharding({"/a": 0, "/b": 1}))
+    fs0, fs1 = host.mounts
+    sharding = host.stack.sharding
+    host.run(_mkdirs(fs0, "/a", "/b", "/a/d"))
+    _hold(host, host.shards[2], "mirror_rename_stage")
+
+    def racer():
+        yield from _until(host, lambda: _staged(host.shards[1]))
+        yield from fs1.mkdir("/a/d/new")
+        for path in ("/a/d/new/x", "/b/d/new/y"):
+            fh = yield from fs1.create(path)
+            yield from fs1.close(fh)
+
+    host.run_all([fs0.rename("/a/d", "/b/d"), racer()])
+    for name in ("x", "y"):
+        assert host.run(fs1.stat(f"/b/d/new/{name}")).kind == FILE
+    assert sharding.routes == {"/b/d": (0, (0,)), "/b/d/new": (0, (0,))}
+    check_tier_invariants(host.shards, sharding)
+
+
+def test_old_name_routes_as_the_new_one_until_every_replica_retired():
+    """/a/d → /b/d pins /b/d to shard 0, where its entries are; renaming
+    it back carries that row to /a/d.  Once the second rename committed,
+    a replica that has not retired yet still serves /b/d, and a create
+    through it must land where /a/d's entries are (shard 0), not on
+    /b/d's static owner (shard 2), where the new name never looks.
+    Shard 0's retire is held back so shard 0 and shard 2 both still
+    serve the old name after the commit."""
+    host = ShardedCofs(shards=3, sharding=SubtreeSharding(
+        {"/a": 0, "/b": 1, "/b/d": 2}))
+    fs0, fs1 = host.mounts
+    sharding = host.stack.sharding
+    host.run(_mkdirs(fs0, "/a", "/b", "/a/d"))
+    host.run(fs0.rename("/a/d", "/b/d"))
+    assert sharding.routes == {"/b/d": (0, (0,))}
+    _hold(host, host.shards[0], "mirror_rename")
+
+    def create():
+        # Well after the rename back committed on its coordinator
+        # (shard 1), while shard 0's retire is still held.
+        yield from _until(host, lambda: "/a/d" in host.route_rows(1))
+        yield host.sim.timeout(20.0)
+        fh = yield from fs1.create("/b/d/z")
+        yield from fs1.close(fh)
+
+    host.run_all([fs0.rename("/b/d", "/a/d"), create()])
+    assert host.run(fs1.stat("/a/d/z")).kind == FILE
+    assert host.file_vinos(2) == set()
+    check_tier_invariants(host.shards, sharding)
+
+
+def test_an_overtaken_rename_keeps_the_winners_routes(split2):
+    """Two renames of /a/d to /b/d race: the first stages, the second
+    overtakes it and commits, so the first's commit is stale (ENOENT)
+    and aborts.  Neither the loser's routing alias nor its abort may
+    disturb the routing the winner committed: a directory created under
+    /b/d before the loser aborts keeps its entry reachable, and the
+    shared map equals the durable rows on every shard."""
+    fs0, fs1 = split2.mounts
+    sharding = split2.stack.sharding
+    split2.run(fs0.mkdir("/a/d"))
+    _hold(split2, split2.shards[1], "mirror_rename_stage", first_only=True)
+    outcomes = {}
+
+    def rename(tag, fs):
+        try:
+            yield from fs.rename("/a/d", "/b/d")
+        except FsError as exc:
+            outcomes[tag] = exc.code
+        else:
+            outcomes[tag] = "ok"
+
+    def second():
+        yield from _until(split2, lambda: _staged(split2.shards[0]))
+        yield from rename("second", fs1)
+        assert "first" not in outcomes
+        yield from fs1.mkdir("/b/d/z")
+        fh = yield from fs1.create("/b/d/z/w")
+        yield from fs1.close(fh)
+
+    split2.run_all([rename("first", fs0), second()])
+    assert outcomes == {"first": "ENOENT", "second": "ok"}
+    assert split2.run(fs0.stat("/b/d/z/w")).kind == FILE
+    assert sharding.routes == {"/b/d": (0, (0,))}
+    for shard in range(2):
+        assert split2.route_rows(shard) == sharding.routes
+    check_tier_invariants(split2.shards, sharding)
+
+
+@pytest.mark.parametrize("routed", [False, True])
+def test_chained_renames_retired_out_of_order_agree_on_routes(routed):
+    """/x/d → /y/d → /z/d, with the first rename's retire held back on
+    shard 2 until the second rename has finished: every shard ends with
+    the same rows — /z/d routed to the shard holding its entries — so
+    an out-of-order retire neither skips the row nor keeps a stale one.
+    The directory is either unrouted (pinned by the first rename) or
+    re-homed to shard 1 beforehand (its row travels)."""
+    host = ShardedCofs(shards=3, sharding=SubtreeSharding(
+        {"/x": 0, "/y": 1, "/z": 2}))
+    fs0, fs1 = host.mounts
+    sharding = host.stack.sharding
+    host.run(_mkdirs(fs0, "/x", "/y", "/z", "/x/d"))
+    home = 0
+    if routed:
+        home = 1
+        assert host.run(host.shards[0].rebalance_dir(
+            "/x/d", home, host.sim.now))
+    _hold(host, host.shards[2], "mirror_rename", first_only=True)
+
+    def second():
+        # Once the first rename's retire landed on shard 1.
+        yield from _until(host, lambda: "/y/d" in host.route_rows(1))
+        yield from fs1.rename("/y/d", "/z/d")
+
+    host.run_all([fs0.rename("/x/d", "/y/d"), second()])
+    assert sharding.routes == {"/z/d": (home, (home,))}
+    for shard in range(3):
+        assert host.route_rows(shard) == sharding.routes
+    check_tier_invariants(host.shards, sharding)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a mkdir's mirror that reaches the rename's coordinator after the "
+    "commit fails on the renamed skeleton"))
+def test_mkdir_racing_an_ancestor_rename_on_another_shard():
+    """A mkdir under /a/d is coordinated by /a/d's entries owner (shard
+    1), while the rename of /a/d is coordinated by /a's (shard 0).  With
+    the mkdir's mirror to shard 0 held back past the rename's commit,
+    the mkdir must still either succeed everywhere or leave no trace;
+    today it answers ENOENT and the skeleton replicas diverge."""
+    host = ShardedCofs(shards=3, sharding=SubtreeSharding(
+        {"/a": 0, "/a/d": 1, "/b": 2}))
+    fs0, fs1 = host.mounts
+    host.run(_mkdirs(fs0, "/a", "/b", "/a/d"))
+    _hold(host, host.shards[0], "mirror_create")
+
+    def mkdir():
+        try:
+            yield from fs1.mkdir("/a/d/new")
+        except FsError:
+            pass
+
+    def rename():
+        yield host.sim.timeout(1.0)  # once the mkdir committed on shard 1
+        yield from fs0.rename("/a/d", "/b/d")
+
+    host.run_all([mkdir(), rename()])
+    check_tier_invariants(host.shards, host.stack.sharding)
 
 
 # ---------------------------------------------------------------------------
@@ -926,10 +1181,11 @@ def test_partitioned_middle_file_is_enotdir_on_every_walk():
 
 
 def test_subtree_migration_window_only_transient_enoent(split2):
-    """Pin the post-rename migration window: while a directory rename
-    re-homes file entries, a concurrent reader of the new path may see
-    ENOENT (documented), but never any other error, and the namespace
-    settles to the post-rename image once the rename returns."""
+    """A reader of the new path during a directory rename sees ENOENT
+    (before the flip reaches its replica) or the file, never any other
+    error, and the namespace settles to the post-rename image once the
+    rename returns.  No entry moves, so there is no migration window
+    after the flip."""
     fs0, fs1 = split2.mounts[0], split2.mounts[1]
     seen = []
 
