@@ -734,7 +734,7 @@ def run_scaling_failover(scale="default", print_report=False):
 
     Reported per run (baseline = identical load, no kill):
 
-    - per-op mean / p50 / p99 / max latency — the tail absorbs the gap;
+    - per-op mean / p50 / p99 / max latency — the max absorbs the gap;
     - ``gap_ms`` — first dead-primary detection to serving-again,
       *derived from the failover trace span* (tracing is enabled around
       the kill run) and cross-checked against the group's own

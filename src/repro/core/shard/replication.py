@@ -11,23 +11,24 @@ Two distinct replication mechanisms live here:
 2. **Primary/backup groups** (this PR): each logical shard is a
    :class:`ReplicatedShard` group — one primary plus backups on their own
    machines, connected by *synchronous journal log shipping*.  After
-   every locally durable update transaction the primary ships its redo
-   journal's unacknowledged suffix to each live backup
-   (:meth:`ReplicatedShard._ship`, driven from the
+   every update transaction the primary ships its redo journal's
+   unacknowledged suffix to each live backup while its own log force
+   runs (:meth:`ReplicatedShard._ship`, driven from the
    ``DbService.replicator`` hook), and the client is acknowledged only
-   once a **quorum** (majority of the live membership) holds the change
-   durably.  Backups apply the suffix atomically with a durable
-   applied-LSN pointer (:meth:`ShardReplicationPart.repl_apply`), so a
-   shipped record is never applied twice and a gap is never silently
-   skipped.  On primary failure a *fenced failover*
-   (:meth:`ReplicatedShard.failover`) promotes the most caught-up live
-   backup: the candidate bumps the group's durable recovery epoch — PR
-   5's fencing token — and installs it tier-wide and on its fellow
-   members before serving, so a zombie ex-primary's stamps (and its
-   journal ships) are refused everywhere; its locally committed but
-   never-quorum-acked suffix is discarded by the snapshot resync when it
-   rejoins (:meth:`ReplicatedShard.rejoin`).  Cross-shard coordination
-   is untouched: record ids and RPC targets name *groups* (shard ids),
+   once that force is done and a **quorum** (majority of the live
+   membership) holds the change durably.  Backups apply the suffix
+   atomically with a durable applied-LSN pointer
+   (:meth:`ShardReplicationPart.repl_apply`), so a shipped record is
+   never applied twice and a gap is never silently skipped.  On primary
+   failure a *fenced failover* (:meth:`ReplicatedShard.failover`)
+   promotes the most caught-up live backup: the candidate bumps the
+   group's durable recovery epoch — the tier's fencing token — and
+   installs it tier-wide and on its fellow members before serving, so a
+   zombie ex-primary's stamps (and its journal ships) are refused
+   everywhere; its locally committed but never-quorum-acked suffix is
+   discarded by the snapshot resync when it rejoins
+   (:meth:`ReplicatedShard.rejoin`).  Cross-shard coordination is
+   untouched: record ids and RPC targets name *groups* (shard ids),
    never nodes — :class:`GroupTargets` re-resolves every peer RPC to the
    group's current primary.  In-sync backups additionally serve
    bounded-staleness follower reads (see
@@ -710,8 +711,9 @@ class ReplicatedShard:
     same replicated root, same epoch row) on their own machines; from
     then on the primary's redo journal is the group's single history.
     The primary's :attr:`~repro.db.service.DbService.replicator` hook
-    drives :meth:`_ship` after every locally durable update — client
-    acknowledgement therefore *implies* quorum durability.
+    drives :meth:`_ship` after every update, overlapped with the
+    primary's own log force; the client is acknowledged only once both
+    finished, so acknowledgement *implies* quorum durability.
 
     Membership bookkeeping (who is down, who is most caught up, who is
     the primary) is plain Python state: it models the external
@@ -844,14 +846,15 @@ class ReplicatedShard:
         """Coroutine: ship the journal suffix, ack only on quorum.
 
         Runs inside the primary's update transaction path (the
-        ``DbService.replicator`` hook), after local durability and
-        before the client regains control; ``commit_lsn`` is the LSN of
-        the caller's own transaction.  Each live backup receives the
-        suffix past its acked LSN — shipping from the ack pointer makes
-        the protocol self-healing: a backup that missed a ship (crash
-        between send and apply) is caught up by the very next one.  The
-        mutation is acknowledged only when a **majority of the live
-        membership** (the primary's own durable copy included) holds it;
+        ``DbService.replicator`` hook) while the primary's own log force
+        is in flight, and before the client regains control;
+        ``commit_lsn`` is the LSN of the caller's own transaction.  Each
+        live backup receives the suffix past its acked LSN — shipping
+        from the ack pointer makes the protocol self-healing: a backup
+        that missed a ship (crash between send and apply) is caught up
+        by the very next one.  The mutation is acknowledged only when a
+        **majority of the live membership** holds it — the primary's own
+        copy counts, because the ack also waits for its force —
         otherwise the client sees EAGAIN and retries.  A ship fenced by
         a concurrent promotion acks anyway when the commit provably
         survived into the promoted history

@@ -72,18 +72,18 @@ class DbService:
         self.recoveries = 0
         #: optional fault-injection hook, called after every update
         #: transaction's commit boundary (once it is as durable as the log
-        #: policy makes it).  Raising from the hook models a crash in the
-        #: gap after that commit; see :mod:`repro.core.faults`.
+        #: policy makes it; on a replicated node, before its overlapped
+        #: force and ship start).  Raising from the hook models a crash
+        #: in the gap after that commit; see :mod:`repro.core.faults`.
         self.fault_hook = None
         #: optional replication hook (coroutine function taking the
         #: committed transaction's LSN — the journal length right after
-        #: its commit), driven after every update transaction is locally
-        #: durable and *before* the caller regains control: synchronous
-        #: journal shipping — the client is only acknowledged once a
-        #: quorum holds the change (see
-        #: :class:`repro.core.shard.replication.ReplicatedShard`).  The
-        #: hook runs after ``fault_hook`` so the locally-durable-but-
-        #: unshipped gap is an enumerable crash boundary.
+        #: its commit), driven after every update transaction while its
+        #: local log force is in flight and *before* the caller regains
+        #: control: synchronous journal shipping — the client is only
+        #: acknowledged once the local force and a quorum both hold the
+        #: change (see :meth:`_force_and_ship` and
+        #: :class:`repro.core.shard.replication.ReplicatedShard`).
         self.replicator = None
         # Update-transaction quiesce barrier: ``crash_and_recover`` must
         # not truncate the journal tail while a commit's log force is in
@@ -173,13 +173,14 @@ class DbService:
                         need = dep
                     yield from self._async_ack(need, commit_lsn)
                 else:
-                    if cfg.sync_updates:
+                    if cfg.sync_updates and self.replicator is None:
                         yield from self.log.force()
                         self.journal.mark_durable()
                     if self.fault_hook is not None:
                         self.fault_hook()
                     if self.replicator is not None:
-                        yield from self.replicator(commit_lsn)
+                        yield from self._force_and_ship(commit_lsn,
+                                                        cfg.sync_updates)
                         if obs.TRACER is not None:
                             # The replicator returned without raising: a
                             # quorum holds this commit; the caller may now
@@ -201,6 +202,37 @@ class DbService:
                 drain, self._update_drain = self._update_drain, None
                 drain.succeed()
         return result
+
+    def _force_and_ship(self, lsn, force=True):
+        """Coroutine: force the local log and ship to a quorum, overlapped.
+
+        The force is issued before the replicator (if any) runs and
+        waited for after it returns, so a replicated commit waits for
+        the slower of the two, not their sum; the ack still needs both.
+        Without a replicator it is a plain force.  The journal is marked
+        durable up to its head *when the force was issued*: records
+        committed during the ship ride later forces.  A failed ship
+        still waits for its force and marks it before the error
+        propagates — left unmarked, the span would look undurable and
+        the batcher would re-force and re-ship it forever.  A crash
+        (generation bump) during the round voids the mark.
+        """
+        gen = self._batch_gen
+        head = len(self.journal._records)
+        # Tracing may wrap ``log.force`` in a generator: only ever
+        # ``yield from`` what it returned.
+        forcing = self.log.force() if force else ()
+        failure = None
+        if self.replicator is not None:
+            try:
+                yield from self.replicator(lsn)
+            except Exception as exc:
+                failure = exc
+        yield from forcing
+        if force and gen == self._batch_gen:
+            self.journal.mark_durable(head)
+        if failure is not None:
+            raise failure
 
     # -- asynchronous group commit ------------------------------------------
 
@@ -338,11 +370,12 @@ class DbService:
 
         Parked while nothing is outstanding.  Each round sleeps the
         coalescing window, captures the journal head, forces the log
-        once for every record below it, and — on replicated tiers —
-        ships the forced span to a quorum; only then does the ack
-        horizon advance and release the parked committers.  A crash
-        (generation bump) anywhere in flight voids the round: a torn
-        force must not mark the rebuilt journal durable.
+        once for every record below it — on replicated tiers while
+        shipping the same span to a quorum (:meth:`_force_and_ship`) —
+        and only once both are done does the ack horizon advance and
+        release the parked committers.  A crash (generation bump)
+        anywhere in flight voids the round: a torn force must not mark
+        the rebuilt journal durable.
         """
         sim = self.machine.sim
         while True:
@@ -369,18 +402,11 @@ class DbService:
                     "force", "group_force", started,
                     shard=self._obs_key(), base=base, head=head)
             try:
-                yield from self.log.force()
+                yield from self._force_and_ship(head)
                 if gen != self._batch_gen:
                     if span is not None:
                         tracer.finish(span, sim.now, outcome="stale")
                     continue
-                self.journal.mark_durable(head)
-                if self.replicator is not None:
-                    yield from self.replicator(head)
-                    if gen != self._batch_gen:
-                        if span is not None:
-                            tracer.finish(span, sim.now, outcome="stale")
-                        continue
             except BaseException as exc:
                 if span is not None:
                     tracer.finish(span, sim.now, outcome=type(exc).__name__)

@@ -1218,19 +1218,24 @@ GROUP_SCENARIOS = {
 }
 
 
-def _build_replicated(spec):
+def _build_replicated(spec, mode="sync", primary_force_ms=None):
+    """A 2-replica tier in commit ``mode``; ``primary_force_ms`` slows
+    group 0's primary log once the setup is in."""
     host = ShardedCofs(
         n_clients=1, shards=spec["shards"], replicas=2,
-        sharding=_split(spec["shards"]))
+        sharding=_split(spec["shards"]),
+        cofs_config=CofsConfig(async_commit=mode == "async"))
     host.run(_apply(host, spec["setup"]))
+    if primary_force_ms is not None:
+        host.groups[0].primary.dbsvc.log.force_ms = primary_force_ms
     return host
 
 
-def _count_group_boundaries(spec):
+def _count_group_boundaries(spec, **build):
     """Counting pass on the replicated tier: every member's durable
     commits (backup applies included) and every RPC — peer, mirror, and
     intra-group ship — is a boundary."""
-    host = _build_replicated(spec)
+    host = _build_replicated(spec, **build)
     pre = namespace_image(host.primaries, host.stack.sharding)
     schedule = CrashSchedule()
     arm_groups(host.groups, schedule)
@@ -1242,7 +1247,7 @@ def _count_group_boundaries(spec):
     return schedule.count, pre, post
 
 
-def _member_kill_drill(spec, k, victim, pre, post):
+def _member_kill_drill(spec, k, victim, pre, post, **build):
     """Kill group 0's ``victim`` at boundary ``k`` of the live op.
 
     The operation keeps running (a kill refuses *new* dispatches; the
@@ -1251,12 +1256,18 @@ def _member_kill_drill(spec, k, victim, pre, post):
     and leave the client with a clean outcome.  Afterwards the dead
     member is revived and rejoined, and the whole tier must satisfy the
     group and namespace invariants.
+
+    Returns the boundary's label and whether group 0's primary still had
+    a log force in flight there (its journal durable below its head).
     """
-    host = _build_replicated(spec)
+    host = _build_replicated(spec, **build)
     group = host.groups[0]
     dead = []
+    seen = []
 
-    def fire(_label):
+    def fire(label):
+        journal = group.primary.dbsvc.journal
+        seen.append((label, journal.durable_upto < len(journal._records)))
         if victim == "primary":
             dead.append(kill_primary(group))
         else:
@@ -1298,16 +1309,52 @@ def _member_kill_drill(spec, k, victim, pre, post):
     host.run(_apply(host, PROBE))
     check_tier_invariants(host.primaries, host.stack.sharding)
     check_group_invariants(host.groups)
+    return seen[0]
 
 
-@pytest.mark.parametrize("victim", ["primary", "backup"])
-@pytest.mark.parametrize("name", sorted(GROUP_SCENARIOS))
-def test_member_killed_at_every_boundary_of_a_live_op(name, victim):
+#: (scenario, victim, commit mode) per drill; sync, the default mode,
+#: goes unmarked in the test ids.
+GROUP_DRILLS = [(name, victim, mode) for name in sorted(GROUP_SCENARIOS)
+                for victim in ("backup", "primary")
+                for mode in ("sync", "async")]
+
+
+@pytest.mark.parametrize(
+    "name,victim,mode", GROUP_DRILLS,
+    ids=[f"{name}-{victim}" + ("" if mode == "sync" else f"-{mode}")
+         for name, victim, mode in GROUP_DRILLS])
+def test_member_killed_at_every_boundary_of_a_live_op(name, victim, mode):
     spec = GROUP_SCENARIOS[name]
-    count, pre, post = _count_group_boundaries(spec)
+    count, pre, post = _count_group_boundaries(spec, mode=mode)
     assert count >= 4, f"{name}: expected a multi-boundary protocol"
     for k in _selected(count):
-        _member_kill_drill(spec, k, victim, pre, post)
+        _member_kill_drill(spec, k, victim, pre, post, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize("victim", ["primary", "backup"])
+def test_member_killed_while_a_shipped_commit_is_still_forcing(victim,
+                                                               mode):
+    """A replicated commit overlaps its local log force with the quorum
+    ship.  With group 0's primary log slowed to 20 ms the backup's
+    ``repl_apply`` answers while that force is still in flight, so the
+    ship's receive boundary is the state "ship applied, local force in
+    flight"; the drill kills each victim there like at every other
+    boundary, and asserts that the state was really reached.  Every
+    boundary is drilled whatever ``REPRO_CRASH_POINTS`` says: a stride
+    could skip the receive boundary the assertion needs."""
+    forcing_after_apply = []
+    for name in sorted(GROUP_SCENARIOS):
+        spec = GROUP_SCENARIOS[name]
+        build = dict(mode=mode, primary_force_ms=20.0)
+        count, pre, post = _count_group_boundaries(spec, **build)
+        for k in range(count):
+            label, forcing = _member_kill_drill(
+                spec, k, victim, pre, post, **build)
+            if label[0] == "recv" and label[-1] == "repl_apply" \
+                    and label[1] == 0 and forcing:
+                forcing_after_apply.append((name, k))
+    assert forcing_after_apply, "no drilled boundary saw the force in flight"
 
 
 def test_trace_invariants_hold_across_member_kill_drills():

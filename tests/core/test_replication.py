@@ -126,6 +126,62 @@ def test_three_replica_group_survives_one_backup_loss():
     check_group_invariants(host.groups)
 
 
+@pytest.mark.parametrize("async_commit", [False, True],
+                         ids=["sync", "async"])
+def test_commit_waits_for_the_slower_of_force_and_ship(async_commit):
+    """The primary's log force overlaps the quorum ship.  The ack waits
+    for both, so a slow log on either member delays it; but two slow
+    logs cost one wait, not two in a row."""
+    def utime_ms(slow):
+        host = _host(cofs_config=CofsConfig(async_commit=async_commit))
+        _populate(host)
+        for member in slow(host.groups[0]):
+            member.dbsvc.log.force_ms = 50.0
+
+        def timed():
+            start = host.sim.now
+            yield from host.mounts[0].utime("/a/f", atime=1.0, mtime=2.0)
+            return host.sim.now - start
+
+        return host.run(timed())
+
+    assert utime_ms(lambda group: [group.primary]) >= 50.0
+    assert utime_ms(lambda group: group.backups) >= 50.0
+    assert utime_ms(lambda group: group.members) < 75.0
+
+
+@pytest.mark.parametrize("async_commit", [False, True],
+                         ids=["sync", "async"])
+def test_failed_ship_still_waits_for_its_force(async_commit):
+    """A ship that fails leaves the journal as durable as its overlapped
+    force made it.  Left unmarked, the async batcher would find the span
+    undurable and re-force and re-ship it without end."""
+    host = _host(cofs_config=CofsConfig(async_commit=async_commit))
+    _populate(host)
+    dbsvc = host.groups[0].primary.dbsvc
+
+    def refuse(_lsn):
+        raise FsError("EAGAIN", "ship refused")
+        yield  # a generator function, like the real replicator
+
+    dbsvc.replicator = refuse
+    outcome = []
+
+    def update():
+        try:
+            yield from dbsvc.execute(lambda txn: txn.write(
+                "repl", {"slot": "probe", "lsn": 0}))
+        except FsError as exc:
+            outcome.append(exc.code)
+
+    sim = host.sim
+    sim.process(update())
+    deadline = sim.now + 1000.0
+    assert sim.run(until=deadline) < deadline, "the heap never drained"
+    assert outcome == ["EAGAIN"]
+    assert dbsvc.journal.durable_upto == len(dbsvc.journal._records)
+
+
 # ---------------------------------------------------------------------------
 # Failover
 # ---------------------------------------------------------------------------
